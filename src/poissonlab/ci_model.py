@@ -9,8 +9,6 @@ quantities feed the Poissonized weighted-statistic model.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -173,52 +171,3 @@ def perturb(
         {"perturb_magnitude": magnitude, "perturb_seed": seed, "clipped": clipped}
     )
     return JointDistribution(joint.l1, joint.l2, joint.n, table, meta)
-
-
-def to_json(joint: JointDistribution) -> str:
-    """Round-trip-exact JSON: pmf as a flat row-major array of repr floats."""
-    doc = {
-        "l1": joint.l1,
-        "l2": joint.l2,
-        "n": joint.n,
-        "pmf": [float(v) for v in joint.pmf.ravel(order="C")],
-        "meta": joint.meta,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> JointDistribution:
-    doc = json.loads(text)
-    table = np.asarray(doc["pmf"], dtype=np.float64).reshape(
-        (doc["l1"], doc["l2"], doc["n"]), order="C"
-    )
-    return JointDistribution(doc["l1"], doc["l2"], doc["n"], table, doc.get("meta", {}))
-
-
-def write_csv(joint: JointDistribution, stream) -> None:
-    stream.write("x,y,z,probability\n")
-    for x in range(joint.l1):
-        for y in range(joint.l2):
-            for z in range(joint.n):
-                stream.write(f"{x},{y},{z},{float(joint.pmf[x, y, z])!r}\n")
-
-
-def read_csv(stream) -> JointDistribution:
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    header = stream.readline()
-    if header.strip() != "x,y,z,probability":
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in stream:
-        if not line.strip():
-            continue
-        x, y, z, p = line.split(",")
-        rows.append((int(x), int(y), int(z), float(p)))
-    l1 = max(r[0] for r in rows) + 1
-    l2 = max(r[1] for r in rows) + 1
-    n = max(r[2] for r in rows) + 1
-    table = np.zeros((l1, l2, n))
-    for x, y, z, p in rows:
-        table[x, y, z] = p
-    return JointDistribution(l1, l2, n, table)

@@ -22,10 +22,8 @@ from .poisson_core import (
     ORACLE_POINTS,
     CappedFunctional,
     TruncationError,
-    expectation,
-    fourth_central_moment,
+    moments,
     monte_carlo_moments,
-    variance,
     variance_pairwise,
 )
 from . import ci_model, d_statistic, inequality_lab, sample_complexity
@@ -90,48 +88,49 @@ def _parse_float_list(text: str) -> list:
         raise UsageError(f"bad numeric list {text!r}") from exc
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}"
+        )
+    return value
+
+
 def _grid_from_args(args, kind: str) -> inequality_lab.GridSpec:
-    default = inequality_lab.default_grid(kind, args.tol)
-    lambdas = default.lambda_points
-    pairs = default.cap_pairs
-    if args.lam is not None:
-        lambdas = tuple(_parse_float_list(args.lam))
+    lambdas = None if args.lam is None else _parse_float_list(args.lam)
+    pairs = None
     if args.caps:
-        parsed = []
+        pairs = []
         for pair_text in args.caps:
             vals = _parse_float_list(pair_text)
             if len(vals) != 2:
                 raise UsageError(f"--caps expects 'a,b', got {pair_text!r}")
-            parsed.append((min(vals), max(vals)))
-        pairs = tuple(parsed)
-    return inequality_lab.GridSpec(lambdas, pairs, args.tol)
+            pairs.append((min(vals), max(vals)))
+    try:
+        return inequality_lab.default_grid(kind, args.tol, lambdas, pairs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_certify(args) -> int:
     which_map = {"lemma1": "corrected", "claim21": "claim21", "claim23": "claim23"}
     kind = which_map[args.which]
-    if args.which == "claim21":
-        lambdas = (
-            tuple(_parse_float_list(args.lam))
-            if args.lam is not None
-            else inequality_lab.default_grid("claim21", args.tol).lambda_points
-        )
-        grid = inequality_lab.GridSpec(lambdas, ((math.inf, math.inf),), args.tol)
-    else:
-        grid = _grid_from_args(args, kind)
-    cert = inequality_lab.sweep(grid, kind, threads=args.threads)
+    grid = _grid_from_args(args, kind)
+    cert = inequality_lab.sweep(grid, kind)
 
+    extra = {}
     if kind == "corrected":
-        finite = all(math.isfinite(r.ratio) for r in cert.records)
         plateau = inequality_lab.plateau_check(grid.cap_pairs, tol=args.tol)
-        certified = finite and plateau
+        holds = plateau and all(math.isfinite(r.ratio) for r in cert.records)
         extra = {"plateau": plateau}
     elif kind == "claim21":
-        certified = bool(cert.records) and math.isfinite(cert.sup_ratio)
-        extra = {}
+        holds = math.isfinite(cert.sup_ratio)
     else:
-        certified = bool(cert.records) and cert.inf_ratio > 0.0
-        extra = {}
+        holds = cert.inf_ratio > 0.0
+    # No evidence certifies nothing: an empty record set or a point that
+    # failed numerically leaves the claim uncertified.
+    certified = bool(cert.records) and cert.errored == 0 and holds
 
     body = dict(cert.to_json_dict(), certified=certified, **extra)
     csv_buf = io.StringIO()
@@ -139,6 +138,8 @@ def cmd_certify(args) -> int:
     params = {"which": args.which, "tol": args.tol,
               "lambda": args.lam, "caps": args.caps}
     _emit(args, _payload("certify", params, body), csv_buf.getvalue())
+    if cert.errored:
+        return EX_NUMERIC
     return EX_OK if certified else EX_PREDICATE
 
 
@@ -177,9 +178,9 @@ def cmd_simulate_d(args) -> int:
     model = ci_model.build_model(joint, args.m)
     exact = d_statistic.exact_moments(model, args.tol)
     mc = d_statistic.mc_moments(model, args.reps, args.seed)
-    chain = d_statistic.bound_chain_check(model, args.tol)
+    chain = exact.chain_check()
     try:
-        ratio = d_statistic.variance_mean_ratio(model, args.tol)
+        ratio = exact.variance_mean_ratio()
     except inequality_lab.SkippedPoint:
         ratio = None
 
@@ -211,11 +212,9 @@ def cmd_simulate_d(args) -> int:
     }
     csv_buf = io.StringIO()
     csv_buf.write("z,lambda_z,weight,mean_z,var_z\n")
-    per_z = {s.z: s for s in exact.per_z}
+    per_z = {z: (w * e, w * w * v) for z, w, e, v in exact.per_z}
     for z in range(model.n):
-        s = per_z.get(z)
-        mean_z = s.mean if s else 0.0
-        var_z = s.variance if s else 0.0
+        mean_z, var_z = per_z.get(z, (0.0, 0.0))
         csv_buf.write(
             f"{z},{float(model.rates[z])!r},{float(model.weights[z])!r},"
             f"{mean_z!r},{var_z!r}\n"
@@ -231,6 +230,8 @@ def cmd_complexity(args) -> int:
     if args.map:
         if args.eps is not None and not (0.0 < args.eps <= 1.0):
             raise UsageError("--eps must lie in (0, 1]")
+        if args.n_range is None or args.eps_range is None:
+            raise UsageError("--map needs --n-range and --eps-range")
         try:
             n_lo, n_hi, n_count = _parse_float_list(args.n_range)
             e_lo, e_hi, e_count = _parse_float_list(args.eps_range)
@@ -240,7 +241,12 @@ def cmd_complexity(args) -> int:
             raise UsageError(f"bad range: {exc}") from exc
         if max(eps_values) > 1.0 or min(eps_values) <= 0.0:
             raise UsageError("eps range must lie in (0, 1]")
-        rows = sample_complexity.regime_map(n_values, args.l1, args.l2, eps_values)
+        try:
+            rows = sample_complexity.regime_map(
+                n_values, args.l1, args.l2, eps_values
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         if args.eps is None:
             raise UsageError("--eps is required")
@@ -285,11 +291,10 @@ def cmd_oracle_check(args) -> int:
     all_ok = True
     for idx, (lam, a, b) in enumerate(ORACLE_POINTS):
         f = CappedFunctional(lam, a, b)
-        e = expectation(f, args.tol)
-        v = variance(f, args.tol)
+        m = moments(f, args.tol, 4)
+        e, v, mu4 = m.mean, m.variance, m.mu4
         pw = variance_pairwise(f, args.tol)
         triangle_ok = abs(v.value - pw.value) <= v.tail_bound + pw.tail_bound
-        mu4 = fourth_central_moment(f, args.tol)
         mc = monte_carlo_moments(f, args.draws, args.seed + idx)
         se_mean = math.sqrt(v.value / args.draws)
         se_var = math.sqrt(max(mu4.value - v.value**2, 0.0) / args.draws)
@@ -319,8 +324,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
+        p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
 
     p = sub.add_parser("certify", help="sweep a ratio grid and certify it")
     p.add_argument("which", choices=("lemma1", "claim21", "claim23"))

@@ -19,27 +19,45 @@ from .poisson_core import (
     DEFAULT_TOL,
     DENOMINATOR_FLOOR,
     CappedFunctional,
-    expectation,
-    variance,
+    moments,
 )
 from .inequality_lab import SkippedPoint
 
 
 @dataclass(frozen=True)
-class SliceMoments:
-    z: int
-    mean: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class DMoments:
-    """Exact mean/variance, summed over slices by independence."""
+    """Exact mean/variance, summed over slices by independence.
+
+    per_z holds (z, weight, mean, variance) for every slice with nonzero
+    weight and rate, the moments being those of the unweighted capped
+    functional; cap_product is l1 * l2. The variance-to-mean ratio and the
+    bound chain are read off these without evaluating any slice again.
+    """
 
     mean: float
     variance: float
     tail_bound: float
     per_z: tuple
+    cap_product: float
+
+    def variance_mean_ratio(self) -> float:
+        """Var/E of the weighted statistic; degenerate models are skipped."""
+        if self.mean < DENOMINATOR_FLOOR:
+            raise SkippedPoint("statistic mean below the denominator floor")
+        return self.variance / self.mean
+
+    def chain_check(self) -> ChainCheck:
+        """The two-step variance bound, audited on these slice moments."""
+        ll = self.cap_product
+        mid_sum = math.fsum(w * w * ll * e for _, w, e, _ in self.per_z)
+        c1 = 0.0
+        for _, _, e, v in self.per_z:
+            if e > DENOMINATOR_FLOOR:
+                c1 = max(c1, v / (ll * e))
+        first_ok = self.variance <= c1 * mid_sum * (1.0 + 1e-9) + 1e-300
+        quarter_ok = mid_sum <= 0.25 * self.mean * (1.0 + 1e-12) + 1e-300
+        return ChainCheck(self.variance, self.mean, mid_sum, c1, first_ok,
+                          quarter_ok)
 
 
 @dataclass(frozen=True)
@@ -59,9 +77,9 @@ def _slice_rng(seed: int, z: int) -> np.random.Generator:
 
 
 def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
-    """Per-slice capped-functional moments scaled by the slice weights."""
+    """Per-slice capped-functional moments scaled by the slice weights,
+    one summation pass per slice."""
     per_z = []
-    mean_parts, var_parts = [], []
     tail = 0.0
     for z in range(model.n):
         w = float(model.weights[z])
@@ -70,13 +88,16 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
             continue
         f = CappedFunctional(rate, float(model.cap_a), float(model.cap_b),
                              model.threshold)
-        e = expectation(f, tol)
-        v = variance(f, tol)
-        mean_parts.append(w * e.value)
-        var_parts.append(w * w * v.value)
-        tail += w * e.tail_bound + w * w * v.tail_bound
-        per_z.append(SliceMoments(z, w * e.value, w * w * v.value))
-    return DMoments(math.fsum(mean_parts), math.fsum(var_parts), tail, tuple(per_z))
+        m = moments(f, tol, 2)
+        tail += w * m.mean.tail_bound + w * w * m.variance.tail_bound
+        per_z.append((z, w, m.mean.value, m.variance.value))
+    return DMoments(
+        math.fsum(w * e for _, w, e, _ in per_z),
+        math.fsum(w * w * v for _, w, _, v in per_z),
+        tail,
+        tuple(per_z),
+        float(model.cap_a * model.cap_b),
+    )
 
 
 def _contribution(sigma, model: DStatisticModel, w: float):
@@ -87,19 +108,6 @@ def _contribution(sigma, model: DStatisticModel, w: float):
         * np.sqrt(np.minimum(s, model.cap_a) * np.minimum(s, model.cap_b))
         * (s >= model.threshold)
     )
-
-
-def sample_statistic(model: DStatisticModel, seed: int) -> float:
-    """One seeded draw of the weighted statistic."""
-    total = 0.0
-    for z in range(model.n):
-        w = float(model.weights[z])
-        rate = float(model.rates[z])
-        if w == 0.0 or rate == 0.0:
-            continue
-        sigma = _slice_rng(seed, z).poisson(rate)
-        total += float(_contribution(sigma, model, w))
-    return total
 
 
 def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult:
@@ -126,10 +134,7 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult
 
 def variance_mean_ratio(model: DStatisticModel, tol: float = DEFAULT_TOL) -> float:
     """Var/E of the weighted statistic; degenerate models are skipped."""
-    moments = exact_moments(model, tol)
-    if moments.mean < DENOMINATOR_FLOOR:
-        raise SkippedPoint("statistic mean below the denominator floor")
-    return moments.variance / moments.mean
+    return exact_moments(model, tol).variance_mean_ratio()
 
 
 @dataclass(frozen=True)
@@ -151,26 +156,4 @@ class ChainCheck:
 
 
 def bound_chain_check(model: DStatisticModel, tol: float = DEFAULT_TOL) -> ChainCheck:
-    ll = float(model.cap_a * model.cap_b)
-    var_parts, mean_parts, mid_parts = [], [], []
-    c1 = 0.0
-    for z in range(model.n):
-        w = float(model.weights[z])
-        rate = float(model.rates[z])
-        if w == 0.0 or rate == 0.0:
-            continue
-        f = CappedFunctional(rate, float(model.cap_a), float(model.cap_b),
-                             model.threshold)
-        e_raw = expectation(f, tol).value
-        v_raw = variance(f, tol).value
-        var_parts.append(w * w * v_raw)
-        mean_parts.append(w * e_raw)
-        mid_parts.append(w * w * ll * e_raw)
-        if e_raw > DENOMINATOR_FLOOR:
-            c1 = max(c1, v_raw / (ll * e_raw))
-    var_total = math.fsum(var_parts)
-    mean_total = math.fsum(mean_parts)
-    mid_sum = math.fsum(mid_parts)
-    first_ok = var_total <= c1 * mid_sum * (1.0 + 1e-9) + 1e-300
-    quarter_ok = mid_sum <= 0.25 * mean_total * (1.0 + 1e-12) + 1e-300
-    return ChainCheck(var_total, mean_total, mid_sum, c1, first_ok, quarter_ok)
+    return exact_moments(model, tol).chain_check()

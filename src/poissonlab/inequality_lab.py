@@ -11,20 +11,16 @@ the small-count tail argument.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .poisson_core import (
     DEFAULT_TOL,
     DENOMINATOR_FLOOR,
     CappedFunctional,
     TruncationError,
-    expectation,
-    plain_indicator_moments,
-    variance,
+    moments,
 )
 
 
@@ -70,7 +66,8 @@ class RatioCertificate:
     which: str
     tol: float
     records: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)  # vacuous and errored points
+    errored: int = 0  # entries of skipped that failed numerically
     sup_ratio: float = math.nan
     inf_ratio: float = math.nan
     arg_sup: tuple = None
@@ -117,28 +114,60 @@ def correction_factor(a: float, b: float) -> float:
 
 
 def _variance_and_mean(lam, a, b, tol):
-    f = CappedFunctional(lam, a, b)
-    var = variance(f, tol)
-    mean = expectation(f, tol)
-    return var.value, mean.value
+    m = moments(CappedFunctional(lam, a, b), tol, 2)
+    return m.variance.value, m.mean.value
+
+
+def _corrected_parts(lam, a, b, tol):
+    var, mean = _variance_and_mean(lam, a, b, tol)
+    return var, correction_factor(a, b) * mean
+
+
+def _indicator_parts(lam, a, b, tol):
+    return _variance_and_mean(lam, 1.0, 1.0, tol)
+
+
+def _mean_lower_parts(lam, a, b, tol):
+    for cap in (a, b):
+        if cap != int(cap) or cap < 2:
+            raise ValueError(f"caps must be integers >= 2, got {cap}")
+    den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
+    if den < DENOMINATOR_FLOOR:  # mean / den below needs a nonzero envelope
+        raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
+    mean = moments(CappedFunctional(lam, float(a), float(b)), tol, 1).mean.value
+    # The numerator is reported as ratio * envelope, the form claim23
+    # records carry; it can differ from the mean in the last bit, and
+    # num / den still rounds back to mean / den.
+    return mean / den * den, den
+
+
+# Ratio kind -> (lam, a, b, tol) -> (numerator, denominator).
+# claim21 is the plain thresholded count: unit caps turn the capped
+# functional into X 1(X >= 4), so the grid caps are ignored.
+RATIO_KINDS = {
+    "corrected": _corrected_parts,
+    "original": _variance_and_mean,
+    "claim21": _indicator_parts,
+    "claim23": _mean_lower_parts,
+}
+
+
+def _ratio(which, lam, a, b, tol):
+    """(ratio, numerator, denominator) of a ratio kind at one point."""
+    num, den = RATIO_KINDS[which](lam, a, b, tol)
+    if den < DENOMINATOR_FLOOR:
+        raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
+    return num / den, num, den
 
 
 def corrected_ratio(lam, a, b, tol=DEFAULT_TOL):
     """Var / (max{ab, sqrt(a)*b, sqrt(ab)} * E); returns (ratio, num, den)."""
-    a, b = min(a, b), max(a, b)
-    var, mean = _variance_and_mean(lam, a, b, tol)
-    den = correction_factor(a, b) * mean
-    if den < DENOMINATOR_FLOOR:
-        raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
-    return var / den, var, den
+    return _ratio("corrected", lam, min(a, b), max(a, b), tol)
 
 
 def original_ratio(lam, a, b, tol=DEFAULT_TOL):
     """Plain Var / E ratio (the uncorrected, falsifiable bound)."""
-    var, mean = _variance_and_mean(lam, a, b, tol)
-    if mean < DENOMINATOR_FLOOR:
-        raise SkippedPoint(f"mean {mean} below floor at {(lam, a, b)}")
-    return var / mean
+    return _ratio("original", lam, a, b, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -187,26 +216,12 @@ def find_counterexample(target_ratio: float, k_max: int = 2**20) -> WitnessSearc
 
 def indicator_ratio(lam: float, tol: float = DEFAULT_TOL) -> float:
     """Var[X 1(X>=4)] / E[X 1(X>=4)]."""
-    if lam <= 0:
-        raise SkippedPoint("rate must be positive for a nonvacuous ratio")
-    mean, var = plain_indicator_moments(lam, tol)
-    if mean.value < DENOMINATOR_FLOOR:
-        raise SkippedPoint(f"indicator mean below floor at lam={lam}")
-    return var.value / mean.value
+    return _ratio("claim21", lam, math.inf, math.inf, tol)[0]
 
 
 def mean_lower_ratio(lam: float, a, b, tol: float = DEFAULT_TOL) -> float:
     """E[f(X)] / min(lam*sqrt(min(lam,a)*min(lam,b)), lam^4), integer caps >= 2."""
-    for cap in (a, b):
-        if cap != int(cap) or cap < 2:
-            raise ValueError(f"caps must be integers >= 2, got {cap}")
-    if lam <= 0:
-        raise SkippedPoint("rate must be positive")
-    den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
-    if den < DENOMINATOR_FLOOR:
-        raise SkippedPoint(f"envelope below floor at lam={lam}")
-    mean = expectation(CappedFunctional(lam, float(a), float(b)), tol)
-    return mean.value / den
+    return _ratio("claim23", lam, a, b, tol)[0]
 
 
 def h_function(lam: float) -> float:
@@ -227,6 +242,36 @@ def h_function(lam: float) -> float:
         return math.exp(math.log(num) - log_den)
     except OverflowError:
         return math.inf
+
+
+# SciPy's golden-section constant; the truncated value keeps the iterates,
+# and so the reported minimizer, identical to scipy.optimize's "golden".
+_GOLDEN = 0.61803399
+
+
+def _golden_section(fn, xa, xb, xc, xtol=1e-12, maxiter=5000):
+    """(min value, minimizer) of fn by golden section on xa < xb < xc.
+
+    Same bracket setup, update rule and |x3 - x0| <= xtol * (|x1| + |x2|)
+    stop as minimize_scalar(method="golden").
+    """
+    g_c = 1.0 - _GOLDEN
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + g_c * (xc - xb)
+    else:
+        x1, x2 = xb - g_c * (xb - xa), xb
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN * x2 + g_c * x3
+            f1, f2 = f2, fn(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN * x1 + g_c * x0
+            f2, f1 = f1, fn(x1)
+    return (f1, x1) if f1 < f2 else (f2, x2)
 
 
 @dataclass(frozen=True)
@@ -253,14 +298,9 @@ def h_infimum(lambda_max: float = 60.0, grid_points: int = 10**4) -> InfimumResu
     i = int(np.argmin(vals))
     value, arg = float(vals[i]), float(grid[i])
     if 0 < i < grid_points - 1:
-        res = minimize_scalar(
-            h_function,
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        if res.fun < value:
-            value, arg = float(res.fun), float(res.x)
+        fun, x = _golden_section(h_function, grid[i - 1], grid[i], grid[i + 1])
+        if fun < value:
+            value, arg = float(fun), float(x)
 
     diffs = np.diff(vals[i:])
     positive = diffs > 0
@@ -279,80 +319,48 @@ _DEFAULT_CAPS = (0.5, 1.0, 2.0, 4.0, 16.0, 64.0, 256.0)
 _DEFAULT_INT_CAPS = (2, 4, 16, 64, 256)
 
 
-def default_grid(which: str, tol: float = DEFAULT_TOL) -> GridSpec:
-    """Default sweep grids: 25 log-spaced rates in [1e-2, 1e4]; geometric caps."""
-    lambdas = tuple(float(v) for v in np.geomspace(1e-2, 1e4, 25))
+def default_grid(
+    which: str, tol: float = DEFAULT_TOL, lambda_points=None, cap_pairs=None
+) -> GridSpec:
+    """Sweep grid for a ratio kind: the given rates and cap pairs, or by
+    default 25 log-spaced rates in [1e-2, 1e4] and geometric caps.
+
+    claim21 ignores caps, so its grid always holds the single pair
+    (inf, inf) and every rate is evaluated once.
+    """
+    if lambda_points is None:
+        lambda_points = tuple(float(v) for v in np.geomspace(1e-2, 1e4, 25))
     if which == "claim21":
-        pairs = ((math.inf, math.inf),)
-        return GridSpec(lambdas, pairs, tol)
-    if which == "claim23":
-        caps = _DEFAULT_INT_CAPS
-    else:
-        caps = _DEFAULT_CAPS
-    pairs = tuple(
-        (float(a), float(b)) for i, a in enumerate(caps) for b in caps[i:]
-    )
-    return GridSpec(lambdas, pairs, tol)
-
-
-def _eval_point(which, lam, a, b, tol):
-    try:
-        if which == "corrected":
-            ratio, num, den = corrected_ratio(lam, a, b, tol)
-        elif which == "original":
-            var, mean = _variance_and_mean(lam, a, b, tol)
-            if mean < DENOMINATOR_FLOOR:
-                raise SkippedPoint(f"mean below floor at {(lam, a, b)}")
-            num, den, ratio = var, mean, var / mean
-        elif which == "claim21":
-            mean, var = plain_indicator_moments(lam, tol)
-            if mean.value < DENOMINATOR_FLOOR:
-                raise SkippedPoint(f"indicator mean below floor at lam={lam}")
-            num, den, ratio = var.value, mean.value, var.value / mean.value
-        elif which == "claim23":
-            ratio = mean_lower_ratio(lam, a, b, tol)
-            den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
-            num = ratio * den
-        else:
-            raise ValueError(f"unknown sweep kind {which!r}")
-    except SkippedPoint as exc:
-        return ("skipped", str(exc))
-    except (TruncationError, ValueError) as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
-    return ("ok", num, den, ratio)
+        cap_pairs = ((math.inf, math.inf),)
+    elif cap_pairs is None:
+        caps = _DEFAULT_INT_CAPS if which == "claim23" else _DEFAULT_CAPS
+        cap_pairs = tuple(
+            (float(a), float(b)) for i, a in enumerate(caps) for b in caps[i:]
+        )
+    return GridSpec(tuple(lambda_points), tuple(cap_pairs), tol)
 
 
 def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
-    """Evaluate the chosen ratio at every grid point.
+    """Evaluate the chosen ratio at every grid point, in (lambda, caps) order.
 
-    Point evaluation may be parallel; record assembly and extremum selection
-    run in a single deterministic pass over the point index order, with
-    ratio ties broken by the lexicographically smallest (lambda, a, b).
+    threads is accepted for compatibility and ignored: evaluation is
+    single-threaded. Ratio ties in the extrema are broken by the
+    lexicographically smallest (lambda, a, b).
     """
-    if which not in ("corrected", "original", "claim21", "claim23"):
+    if which not in RATIO_KINDS:
         raise ValueError(f"unknown sweep kind {which!r}")
-    points = [
-        (lam, a, b) for lam in grid.lambda_points for (a, b) in grid.cap_pairs
-    ]
-    if which == "claim21":
-        points = [(lam, math.inf, math.inf) for lam in grid.lambda_points]
-
-    def run(pt):
-        return _eval_point(which, pt[0], pt[1], pt[2], grid.tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, points))
-    else:
-        outcomes = [run(pt) for pt in points]
-
     cert = RatioCertificate(which=which, tol=grid.tol)
-    for (lam, a, b), outcome in zip(points, outcomes):
-        if outcome[0] == "ok":
-            _, num, den, ratio = outcome
-            cert.records.append(RatioRecord(lam, a, b, num, den, ratio))
-        else:
-            cert.skipped.append((lam, a, b, outcome[1]))
+    for lam in grid.lambda_points:
+        for a, b in grid.cap_pairs:
+            try:
+                ratio, num, den = _ratio(which, lam, a, b, grid.tol)
+            except SkippedPoint as exc:
+                cert.skipped.append((lam, a, b, str(exc)))
+            except (TruncationError, ValueError) as exc:
+                cert.errored += 1
+                cert.skipped.append((lam, a, b, f"{type(exc).__name__}: {exc}"))
+            else:
+                cert.records.append(RatioRecord(lam, a, b, num, den, ratio))
 
     if cert.records:
         sup = max(r.ratio for r in cert.records)

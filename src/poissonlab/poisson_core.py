@@ -88,6 +88,16 @@ class MomentEstimate:
 
 
 @dataclass(frozen=True)
+class Moments:
+    """Mean, variance and fourth central moment of one functional, taken
+    from one summation pass; moments above the requested order are None."""
+
+    mean: MomentEstimate
+    variance: MomentEstimate | None = None
+    mu4: MomentEstimate | None = None
+
+
+@dataclass(frozen=True)
 class PairwiseVarianceResult:
     """Variance via the pairwise identity, with its certified error bound."""
 
@@ -205,33 +215,68 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     return sums, trunc, hi
 
 
-def expectation(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:
-    """E[f(X)] by certified truncated summation."""
-    sums, trunc, hi = _certified_sums(f, tol, max_power=1)
-    s1 = sums[1]
-    return MomentEstimate(s1, trunc[1] + _fp_rel(f.lam) * s1, hi)
+def moments(
+    f: CappedFunctional, tol: float = DEFAULT_TOL, order: int = 2
+) -> Moments:
+    """Certified moments of f(X) up to the given order (1, 2 or 4) from one
+    summation pass.
 
-
-def variance(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:
-    """Var[f(X)] = E[f^2] - E[f]^2 with the error bound propagated.
-
-    Falls back to the pairwise-identity route when the subtraction is
+    The variance is E[f^2] - E[f]^2 with the error bound propagated; it falls
+    back to the pairwise-identity route when the subtraction is
     catastrophically cancelled (operands above 1e8 agreeing to more than
-    12 significant digits).
+    12 significant digits). Order 4 adds the fourth central moment
+    E[(f(X) - E f(X))^4], used for variance standard-error bands. A higher
+    order can widen the summation window, which moves lower moments in the
+    last bit, so ask for the lowest order needed.
     """
-    sums, trunc, hi = _certified_sums(f, tol, max_power=2)
-    s1, s2 = sums[1], sums[2]
+    if order not in (1, 2, 4):
+        raise ValueError(f"order must be 1, 2 or 4, got {order}")
+    sums, trunc, hi = _certified_sums(f, tol, max_power=order)
+    fp = _fp_rel(f.lam)
+    s1, t1 = sums[1], trunc[1]
+    mean = MomentEstimate(s1, t1 + fp * s1, hi)
+    if order == 1:
+        return Moments(mean)
+
+    s2, t2 = sums[2], trunc[2]
     val = s2 - s1 * s1
     if s2 > 1e8 and s1 * s1 > 1e8 and abs(val) < 1e-12 * s2:
         pw = variance_pairwise(f, tol)
-        return MomentEstimate(pw.value, pw.tail_bound, hi)
+        var = MomentEstimate(pw.value, pw.tail_bound, hi)
+    else:
+        tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
+        var = MomentEstimate(max(val, 0.0), tail, hi)
+    if order == 2:
+        return Moments(mean, var)
+
+    s3, s4, t3, t4 = sums[3], sums[4], trunc[3], trunc[4]
+    mu4 = s4 - 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 - 3.0 * s1**4
+    gross = s4 + 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 + 3.0 * s1**4
     tail = (
-        trunc[2]
-        + 2.0 * s1 * trunc[1]
-        + trunc[1] ** 2
-        + _fp_rel(f.lam) * (s2 + s1 * s1)
+        t4
+        + 4.0 * (s1 * t3 + s3 * t1)
+        + 6.0 * (s1 * s1 * t2 + 2.0 * s1 * s2 * t1)
+        + 12.0 * s1**3 * t1
+        + fp * gross
     )
-    return MomentEstimate(max(val, 0.0), tail, hi)
+    return Moments(mean, var, MomentEstimate(max(mu4, 0.0), tail, hi))
+
+
+def expectation(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:
+    """E[f(X)] by certified truncated summation."""
+    return moments(f, tol, 1).mean
+
+
+def variance(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:
+    """Var[f(X)]; see moments for the route and the error bound."""
+    return moments(f, tol, 2).variance
+
+
+def fourth_central_moment(
+    f: CappedFunctional, tol: float = DEFAULT_TOL
+) -> MomentEstimate:
+    """E[(f(X) - E f(X))^4], used for variance standard-error bands."""
+    return moments(f, tol, 4).mu4
 
 
 def variance_pairwise(
@@ -306,27 +351,8 @@ def plain_indicator_moments(
     Caps of 1 make the sqrt factor identically 1 on x >= threshold, which
     reduces the capped functional to the plain indicator one.
     """
-    f = CappedFunctional(lam, 1.0, 1.0)
-    return expectation(f, tol), variance(f, tol)
-
-
-def fourth_central_moment(
-    f: CappedFunctional, tol: float = DEFAULT_TOL
-) -> MomentEstimate:
-    """E[(f(X) - E f(X))^4], used for variance standard-error bands."""
-    sums, trunc, hi = _certified_sums(f, tol, max_power=4)
-    s1, s2, s3, s4 = (sums[k] for k in (1, 2, 3, 4))
-    t1, t2, t3, t4 = (trunc[k] for k in (1, 2, 3, 4))
-    mu4 = s4 - 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 - 3.0 * s1**4
-    gross = s4 + 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 + 3.0 * s1**4
-    tail = (
-        t4
-        + 4.0 * (s1 * t3 + s3 * t1)
-        + 6.0 * (s1 * s1 * t2 + 2.0 * s1 * s2 * t1)
-        + 12.0 * s1**3 * t1
-        + _fp_rel(f.lam) * gross
-    )
-    return MomentEstimate(max(mu4, 0.0), tail, hi)
+    m = moments(CappedFunctional(lam, 1.0, 1.0), tol, 2)
+    return m.mean, m.variance
 
 
 def monte_carlo_moments(

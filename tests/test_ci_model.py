@@ -1,6 +1,5 @@
 """Joint distributions, per-slice TV gaps, and model construction."""
 
-import io
 import itertools
 
 import numpy as np
@@ -11,12 +10,8 @@ from poissonlab.ci_model import (
     JointDistribution,
     build_model,
     conditional_slice,
-    from_json,
     generate_null,
     perturb,
-    read_csv,
-    to_json,
-    write_csv,
 )
 
 
@@ -130,22 +125,6 @@ class TestPerturb:
         table = np.full((1, 2, 2), 0.25)
         with pytest.raises(ValueError):
             perturb(JointDistribution(1, 2, 2, table), 0.5, seed=0)
-
-
-class TestSerialization:
-    def test_json_round_trip_is_exact(self):
-        joint = perturb(generate_null(3, 4, 6, seed=5), 0.3, seed=5)
-        back = from_json(to_json(joint))
-        assert back.l1 == 3 and back.l2 == 4 and back.n == 6
-        assert np.array_equal(back.pmf, joint.pmf)
-
-    def test_csv_round_trip_is_exact(self):
-        joint = generate_null(2, 3, 4, seed=8)
-        buf = io.StringIO()
-        write_csv(joint, buf)
-        buf.seek(0)
-        back = read_csv(buf)
-        assert np.array_equal(back.pmf, joint.pmf)
 
 
 class TestModel:

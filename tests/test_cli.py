@@ -1,9 +1,17 @@
 """Exit codes, output records, and reproducibility of the command front end."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poissonlab
+from poissonlab import poisson_core
+from poissonlab.ci_model import build_model, generate_null, perturb
 from poissonlab.cli import EX_NUMERIC, EX_OK, EX_PREDICATE, EX_USAGE, main
 
 
@@ -150,3 +158,87 @@ class TestFilesAndDeterminism:
         assert main([*argv, "--threads", "1", "--out", str(one)]) == EX_OK
         assert main([*argv, "--threads", "8", "--out", str(eight)]) == EX_OK
         assert one.read_bytes() == eight.read_bytes()
+
+
+class TestNoVacuousCertificate:
+    def test_every_point_truncated(self, capsys):
+        code, doc = run_json(
+            capsys, "certify", "lemma1", "--lambda", "5e6", "--caps", "2,4"
+        )
+        assert code == EX_NUMERIC
+        assert doc["result"]["records"] == []
+        assert doc["result"]["certified"] is False
+
+    def test_negative_rate(self, capsys):
+        code, doc = run_json(capsys, "certify", "lemma1", "--lambda", "-1")
+        assert code == EX_NUMERIC
+        assert doc["result"]["records"] == []
+        assert doc["result"]["certified"] is False
+
+    def test_errored_point_beside_good_ones(self, capsys):
+        code, doc = run_json(capsys, "certify", "claim23", "--lambda", "5e6,10")
+        assert code == EX_NUMERIC
+        r = doc["result"]
+        assert r["certified"] is False
+        assert len(r["records"]) == 15
+        assert all(s["reason"].startswith("TruncationError") for s in r["skipped"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "lemma1", "--lambda", "nan"],
+        ["certify", "lemma1", "--tol", "0"],
+        ["oracle-check", "--tol", "-1"],
+        ["complexity", "--map"],
+        ["complexity", "--map", "--l1", "0", "--n-range", "100,1e6,3",
+         "--eps-range", "0.01,0.5,2"],
+    ],
+    ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero"],
+)
+def test_rejected_at_parse_time(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EX_USAGE
+    assert out == ""
+
+
+class TestOneSummationPass:
+    def test_simulate_d_once_per_slice(self, capsys, summation_calls):
+        run_json(capsys, "simulate-d", "--l1", "2", "--l2", "2", "--n", "6",
+                 "--m", "200", "--reps", "100", "--seed", "1")
+        joint = perturb(generate_null(2, 2, 6, seed=1), 0.5, seed=1)
+        model = build_model(joint, 200.0)
+        slices = sum(
+            1 for w, r in zip(model.weights, model.rates) if w > 0 and r > 0
+        )
+        assert slices > 0
+        assert len(summation_calls) == slices
+
+    def test_oracle_check_once_per_point(self, capsys, summation_calls):
+        code, _ = run_json(capsys, "oracle-check", "--draws", "1000")
+        assert code == EX_OK
+        assert len(summation_calls) == len(poisson_core.ORACLE_POINTS)
+
+
+def test_import_leaves_out_optimizer_and_thread_pool():
+    src = Path(poissonlab.__file__).parent
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, poissonlab.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src.parent)},
+    ).stdout.strip()
+    assert loaded == "False"
+    # numpy.testing, which scipy.special loads, imports concurrent.futures
+    # itself, so the package's own imports are checked instead.
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert not name.startswith(("concurrent", "scipy.optimize")), (
+                    path.name, name)

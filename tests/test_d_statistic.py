@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from poissonlab.ci_model import DStatisticModel, build_model, generate_null, perturb
 from poissonlab.d_statistic import (
     bound_chain_check,
     exact_moments,
     mc_moments,
-    sample_statistic,
     variance_mean_ratio,
 )
 from poissonlab.poisson_core import CappedFunctional, expectation, variance
@@ -85,30 +83,6 @@ class TestExactMoments:
 
 
 class TestSampling:
-    def test_deterministic(self):
-        model = _model(seed=1)
-        assert sample_statistic(model, seed=3) == sample_statistic(model, seed=3)
-        assert sample_statistic(model, seed=3) != sample_statistic(model, seed=4)
-
-    def test_poisson_marginal_gof(self):
-        # the per-slice count stream should be Poisson(rate): chi-square
-        # goodness of fit on a single-slice model with a moderate rate
-        model = _single_slice(6.0, 1.0 / 16.0)
-        rng_draws = [sample_statistic(model, seed=s) for s in range(2000)]
-        # recover counts: D = (2x/16) 1(x>=4) is invertible above threshold
-        counts = [int(round(v * 8)) for v in rng_draws if v > 0]
-        kmax = 14
-        observed = np.bincount(
-            [min(c, kmax) for c in counts], minlength=kmax + 1
-        )[4:]
-        p = np.array(
-            [stats.poisson.pmf(k, 6.0) for k in range(4, kmax)]
-            + [1 - stats.poisson.cdf(kmax - 1, 6.0)]
-        )
-        p = p / p.sum()
-        chi2 = stats.chisquare(observed, observed.sum() * p)
-        assert chi2.pvalue > 1e-4
-
     def test_mc_agrees_with_exact(self):
         model = _model(seed=1)
         exact = exact_moments(model)

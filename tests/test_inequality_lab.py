@@ -6,6 +6,8 @@ import pytest
 
 from poissonlab.inequality_lab import (
     GridSpec,
+    SkippedPoint,
+    _golden_section,
     correction_factor,
     corrected_ratio,
     default_grid,
@@ -85,6 +87,11 @@ class TestMeanLowerRatio:
         # lam << caps: lower bound min(lam*sqrt(lam^2), lam^4) = lam^2...
         # at lam=100 with caps 10^6 the bound is lam^2 vs E ~ lam^2 + lam
         assert mean_lower_ratio(100.0, 10**6, 10**6) == pytest.approx(1.01, rel=1e-6)
+
+    def test_vanishing_envelope_skipped(self):
+        for lam in (0.0, 1e-100):
+            with pytest.raises(SkippedPoint):
+                mean_lower_ratio(lam, 2, 2)
 
     def test_rejects_fractional_caps(self):
         with pytest.raises(ValueError):
@@ -167,3 +174,27 @@ class TestWitnessSearch:
         res = find_counterexample(1e9)
         assert not res.found
         assert res.ratio > 100.0  # best witness before the engine gave up
+
+
+def test_sweep_one_summation_pass_per_point(summation_calls):
+    g = GridSpec(lambda_points=(1.0, 10.0), cap_pairs=((2.0, 2.0), (4.0, 16.0)))
+    cert = sweep(g, "corrected")
+    assert len(cert.records) == 4
+    assert len(summation_calls) == 4
+
+
+def test_claim21_grid_ignores_caps():
+    g = default_grid("claim21", lambda_points=(1.0, 5.0), cap_pairs=((2.0, 4.0),))
+    assert g.cap_pairs == ((math.inf, math.inf),)
+    assert len(sweep(g, "claim21").records) == 2
+
+
+@pytest.mark.parametrize("bracket", [(4.0, 4.5, 5.0), (3.0, 3.2, 9.0),
+                                     (1.0, 4.52, 4.6)])
+def test_golden_section_matches_scipy(bracket):
+    from scipy.optimize import minimize_scalar
+
+    ref = minimize_scalar(h_function, bracket=bracket, method="golden",
+                          options={"xtol": 1e-12})
+    fun, x = _golden_section(h_function, *bracket)
+    assert (fun, x) == (float(ref.fun), float(ref.x))
