@@ -144,8 +144,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    if args.target <= 0:
-        raise UsageError("--target must be positive")
     search = inequality_lab.find_counterexample(args.target)
     body = {
         "found": search.found,
@@ -167,8 +165,6 @@ def cmd_simulate_d(args) -> int:
         raise UsageError("--reps must be at least 2")
     if args.l1 < 2 or args.l2 < 2 or args.n < 1:
         raise UsageError("need l1, l2 >= 2 and n >= 1")
-    if args.m <= 0:
-        raise UsageError("--m must be positive")
     if not (0.0 <= args.magnitude <= 1.0):
         raise UsageError("--magnitude must lie in [0, 1]")
 
@@ -273,8 +269,9 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_h(args) -> int:
-    if args.lambda_max < 1.0 or args.grid_points < 2:
-        raise UsageError("need --lambda-max >= 1 and --grid-points >= 2")
+    if not 1.0 <= args.lambda_max < math.inf or args.grid_points < 2:
+        raise UsageError(
+            "need a finite --lambda-max >= 1 and --grid-points >= 2")
     res = inequality_lab.h_infimum(args.lambda_max, args.grid_points)
     in_band = 0.0109 <= res.value <= 0.0129
     body = {"infimum": res.value, "arg_lambda": res.arg,
@@ -338,7 +335,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("falsify", help="search for an unbounded-ratio witness")
-    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--target", type=_positive_float, required=True)
     common(p)
     p.set_defaults(func=cmd_falsify)
 
@@ -346,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l1", type=int, default=4)
     p.add_argument("--l2", type=int, default=4)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--m", type=float, default=1000.0)
+    p.add_argument("--m", type=_positive_float, default=1000.0)
     p.add_argument("--magnitude", type=float, default=0.5)
     p.add_argument("--reps", type=int, default=10**5)
     common(p)

@@ -129,7 +129,7 @@ def _indicator_parts(lam, a, b, tol):
 
 def _mean_lower_parts(lam, a, b, tol):
     for cap in (a, b):
-        if cap != int(cap) or cap < 2:
+        if not math.isfinite(cap) or cap != int(cap) or cap < 2:
             raise ValueError(f"caps must be integers >= 2, got {cap}")
     den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
     if den < DENOMINATOR_FLOOR:  # mean / den below needs a nonzero envelope
@@ -187,8 +187,9 @@ def find_counterexample(target_ratio: float, k_max: int = 2**20) -> WitnessSearc
     whose plain Var/E ratio reaches the target.
 
     The normal approximation at lam >> b makes the ratio scale like
-    sqrt(a*b) = k, so the search terminates for any reachable target; budget
-    or summation-engine exhaustion returns the best witness found.
+    sqrt(a*b) = k, so the search terminates for any reachable target. A
+    TruncationError (the term budget, or a variance whose certified bound
+    exceeds it) ends the search with the best witness found.
     """
     if target_ratio <= 0:
         raise ValueError("target ratio must be positive")

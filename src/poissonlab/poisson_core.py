@@ -44,7 +44,8 @@ def _fp_rel(lam: float) -> float:
 
 
 class TruncationError(ArithmeticError):
-    """Requested tolerance unreachable within the summation-term budget."""
+    """No certified moment: the requested tolerance is unreachable within the
+    summation-term budget, or a moment's certified bound exceeds its value."""
 
     def __init__(self, message, best_bound=math.inf, terms_used=0):
         super().__init__(message)
@@ -80,7 +81,8 @@ class CappedFunctional:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A computed moment with a certified absolute error bound."""
+    """A computed moment with a certified absolute error bound; terms_used
+    is the number of terms summed, hi - lo + 1 over the window [lo, hi]."""
 
     value: float
     tail_bound: float
@@ -158,26 +160,34 @@ def _term(f: CappedFunctional, x: int, power: int) -> float:
     return functional_value(x, f) ** power * p
 
 
-def _initial_upper_index(f: CappedFunctional) -> int:
-    # 3*lam and 48 make the term ratio (lam/(x+1))*((x+1)/x)^(2k) provably
-    # <= 1/2 beyond the window for all powers k <= 4, so the discarded tail
-    # is dominated by a geometric series: tail <= 2 * term(N+1).
-    n = max(
-        math.ceil(f.lam + 12.0 * math.sqrt(f.lam + 1.0)),
-        f.threshold + 16,
-        math.ceil(3.0 * f.lam),
-        48,
-    )
-    if math.isfinite(f.cap_b):
-        n = max(n, math.ceil(f.cap_b) + 16)
-    return int(n)
+# Each side of the summation window is widened until its certified tail is
+# at most this share of the largest term of every power. That keeps the
+# tail below half an ulp of the roundoff term _fp_rel(lam) * S_k (at least
+# 2e-13 * S_k), so it cannot move a reported bound.
+_REL_CUT = 2.0**-100
 
 
 def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
 
-    Returns (sums, trunc_tails, upper_index). Summation runs in increasing x
-    with exact (fsum) accumulation, so results are deterministic.
+    Returns (sums, trunc_tails, terms_used). The window [lo, hi] is centred
+    on lambda with half-width 14*sqrt(lambda+1) + 16, so its cost grows like
+    sqrt(lambda): lo = max(t, floor(lambda - h)), hi = max(ceil(lambda + h),
+    t + 16, 48). The terms outside it are bounded geometrically, from the
+    edge terms lo-1 and hi+1 of the same pmf window:
+
+    - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
+      most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
+      the tail is at most term(hi+1) / (1 - r) once r < 1;
+    - left (when lo > t): f is nondecreasing and p(x-1)/p(x) = x/lambda, so
+      the tail is at most term(lo-1) / (1 - (lo-1)/lambda).
+
+    A side is widened, by doubling its reach from lambda, until for every
+    power its tail is at most min(tol/16, 2^-100 * the largest term of that
+    power in the window); trunc_tails[k] is the left plus the right bound.
+    The budget max_terms is checked before each window is allocated.
+    Summation runs in increasing x with exact (fsum) accumulation, so
+    results are deterministic.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -185,34 +195,59 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     if f.lam == 0.0 or f.cap_a == 0.0:
         return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
 
-    hi = _initial_upper_index(f)
-    if hi + 1 > max_terms:
-        raise TruncationError(
-            f"initial summation window {hi + 1} exceeds the {max_terms}-term budget",
-            terms_used=0,
-        )
+    lam, t = f.lam, f.threshold
+    h = 14.0 * math.sqrt(lam + 1.0) + 16.0
+    lo = max(t, math.floor(lam - h))
+    hi = max(math.ceil(lam + h), t + 16, 48)
+    best = math.inf
     while True:
-        top = max(_term(f, hi + 1, k) for k in powers)
-        if top <= tol / 16.0:
-            break
-        step = max(16, hi // 8)
-        if hi + step > max_terms:
+        start = lo - 1 if lo > t else lo
+        if hi + 2 - start > max_terms:
             raise TruncationError(
-                "tolerance unreachable within the summation-term budget",
-                best_bound=2.0 * top,
-                terms_used=hi,
+                f"summation window of {hi + 2 - start} terms exceeds the "
+                f"{max_terms}-term budget",
+                best_bound=best,
+                terms_used=hi - lo + 1,
             )
-        hi += step
+        x, p = _pmf_window(lam, start, hi + 1)
+        fv = functional_value(x, f)
+        r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** (2 * max_power)
+        body = slice(lo - start, len(x) - 1)
+        terms, trunc = {}, {}
+        left_ok = right_ok = True
+        fpow = np.ones_like(fv)
+        for k in powers:
+            fpow = fpow * fv
+            terms[k] = fpow * p
+            cut = min(tol / 16.0, _REL_CUT * float(terms[k][body].max()))
+            right = terms[k][-1] / (1.0 - r) if r < 1.0 else math.inf
+            left = terms[k][0] / (1.0 - (lo - 1.0) / lam) if lo > t else 0.0
+            left_ok = left_ok and left <= cut
+            right_ok = right_ok and right <= cut
+            trunc[k] = float(left + right)
+        if left_ok and right_ok:
+            sums = {k: math.fsum(terms[k][body]) for k in powers}
+            return sums, trunc, hi - lo + 1
+        best = max(trunc.values())
+        if not left_ok:
+            lo = max(t, lo - max(16, math.ceil(lam - lo)))
+        if not right_ok:
+            hi += max(16, math.ceil(hi - lam))
 
-    x, p = _pmf_window(f.lam, f.threshold, hi)
-    fv = functional_value(x, f)
-    sums = {}
-    fpow = np.ones_like(fv)
-    for k in powers:
-        fpow = fpow * fv
-        sums[k] = math.fsum(fpow * p)
-    trunc = {k: 2.0 * _term(f, hi + 1, k) for k in powers}
-    return sums, trunc, hi
+
+def _guarded(
+    name: str, est: MomentEstimate, f: CappedFunctional
+) -> MomentEstimate:
+    # A bound above the value certifies nothing: at very large rates the
+    # cancellation in the central moments can leave pure roundoff.
+    if est.tail_bound > est.value:
+        raise TruncationError(
+            f"certified bound {est.tail_bound!r} exceeds the {name} "
+            f"{est.value!r} at {(f.lam, f.cap_a, f.cap_b)}",
+            best_bound=est.tail_bound,
+            terms_used=est.terms_used,
+        )
+    return est
 
 
 def moments(
@@ -227,14 +262,15 @@ def moments(
     12 significant digits). Order 4 adds the fourth central moment
     E[(f(X) - E f(X))^4], used for variance standard-error bands. A higher
     order can widen the summation window, which moves lower moments in the
-    last bit, so ask for the lowest order needed.
+    last bit, so ask for the lowest order needed. A moment whose certified
+    bound exceeds its value raises TruncationError.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, got {order}")
-    sums, trunc, hi = _certified_sums(f, tol, max_power=order)
+    sums, trunc, n = _certified_sums(f, tol, max_power=order)
     fp = _fp_rel(f.lam)
     s1, t1 = sums[1], trunc[1]
-    mean = MomentEstimate(s1, t1 + fp * s1, hi)
+    mean = _guarded("mean", MomentEstimate(s1, t1 + fp * s1, n), f)
     if order == 1:
         return Moments(mean)
 
@@ -242,10 +278,11 @@ def moments(
     val = s2 - s1 * s1
     if s2 > 1e8 and s1 * s1 > 1e8 and abs(val) < 1e-12 * s2:
         pw = variance_pairwise(f, tol)
-        var = MomentEstimate(pw.value, pw.tail_bound, hi)
+        var = MomentEstimate(pw.value, pw.tail_bound, n)
     else:
         tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
-        var = MomentEstimate(max(val, 0.0), tail, hi)
+        var = MomentEstimate(max(val, 0.0), tail, n)
+    var = _guarded("variance", var, f)
     if order == 2:
         return Moments(mean, var)
 
@@ -259,7 +296,8 @@ def moments(
         + 12.0 * s1**3 * t1
         + fp * gross
     )
-    return Moments(mean, var, MomentEstimate(max(mu4, 0.0), tail, hi))
+    mu4_est = MomentEstimate(max(mu4, 0.0), tail, n)
+    return Moments(mean, var, _guarded("fourth central moment", mu4_est, f))
 
 
 def expectation(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:

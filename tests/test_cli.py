@@ -65,8 +65,8 @@ class TestExitCodes:
         assert run(capsys, "simulate-d", "--reps", "1")[0] == EX_USAGE
 
     def test_numeric_failure(self, capsys):
-        # a per-slice rate near 1e9 pushes the summation window past the
-        # term budget, surfacing as the numeric-error exit code
+        # at per-slice rates near 1e9 the variance's certified bound exceeds
+        # its value (cancellation), surfacing as the numeric-error exit code
         code, _ = run(
             capsys, "simulate-d", "--m", "1e11", "--reps", "10", "--seed", "1"
         )
@@ -162,6 +162,7 @@ class TestFilesAndDeterminism:
 
 class TestNoVacuousCertificate:
     def test_every_point_truncated(self, capsys):
+        # at lam = 5e6 the variance's certified bound exceeds its value
         code, doc = run_json(
             capsys, "certify", "lemma1", "--lambda", "5e6", "--caps", "2,4"
         )
@@ -176,12 +177,21 @@ class TestNoVacuousCertificate:
         assert doc["result"]["certified"] is False
 
     def test_errored_point_beside_good_ones(self, capsys):
-        code, doc = run_json(capsys, "certify", "claim23", "--lambda", "5e6,10")
+        code, doc = run_json(capsys, "certify", "claim23", "--lambda", "1e15,10")
         assert code == EX_NUMERIC
         r = doc["result"]
         assert r["certified"] is False
         assert len(r["records"]) == 15
         assert all(s["reason"].startswith("TruncationError") for s in r["skipped"])
+
+    def test_non_finite_caps_errored(self, tmp_path, capsys):
+        out = tmp_path / "claim23.json"
+        code = main(["certify", "claim23", "--caps", "inf,inf", "--out", str(out)])
+        assert code == EX_NUMERIC
+        r = json.loads(out.read_text())["result"]
+        assert r["certified"] is False and r["records"] == []
+        assert r["skipped"]
+        assert all(s["reason"].startswith("ValueError") for s in r["skipped"])
 
 
 @pytest.mark.parametrize(
@@ -193,8 +203,13 @@ class TestNoVacuousCertificate:
         ["complexity", "--map"],
         ["complexity", "--map", "--l1", "0", "--n-range", "100,1e6,3",
          "--eps-range", "0.01,0.5,2"],
+        ["simulate-d", "--m", "nan"],
+        ["simulate-d", "--m", "inf"],
+        ["falsify", "--target", "nan"],
+        ["h", "--lambda-max", "nan"],
     ],
-    ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero"],
+    ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
+         "m-nan", "m-inf", "target-nan", "lambda-max-nan"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonlab.poisson_core import (
+    DEFAULT_TOL,
     CappedFunctional,
     ORACLE_POINTS,
     TruncationError,
+    _certified_sums,
+    _pmf_window,
     expectation,
     fourth_central_moment,
     functional_value,
     log_pmf,
+    moments,
     monte_carlo_moments,
     plain_indicator_moments,
     pmf,
@@ -197,6 +201,57 @@ class TestFourthCentralMoment:
             assert fourth_central_moment(f).value >= variance(f).value ** 2 * (1 - 1e-9)
 
 
+class TestTwoSidedWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1e5),
+        a=st.floats(0.5, 1e3),
+        b=st.floats(0.5, 1e3),
+        order=st.sampled_from((1, 2, 4)),
+    )
+    def test_matches_wide_window(self, lam, a, b, order):
+        # Reference: fsum of the same terms over [t, >= 3 lam], far wider
+        # than the mass. Both sums are correctly rounded, so they differ by
+        # at most the dropped tails and two ulps.
+        f = CappedFunctional(lam, a, b)
+        sums, trunc, _ = _certified_sums(f, DEFAULT_TOL, order)
+        hi = max(3.0 * lam, f.cap_b + 16, lam + 12.0 * math.sqrt(lam + 1.0))
+        if lam > 0.0:
+            x, p = _pmf_window(lam, f.threshold, math.ceil(hi) + 48)
+            fv = functional_value(x, f)
+        else:
+            fv = p = np.zeros(1)
+        fpow = np.ones_like(fv)
+        for k in range(1, order + 1):
+            fpow = fpow * fv
+            ref = math.fsum(fpow * p)
+            assert abs(sums[k] - ref) <= trunc[k] + 2.0 * math.ulp(ref), k
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    @pytest.mark.parametrize("caps", [(2.0, 4.0), (0.5, 1e3), (64.0, 64.0)])
+    def test_terms_grow_like_sqrt_lambda(self, lam, caps):
+        for order in (1, 2, 4):
+            f = CappedFunctional(lam, *caps)
+            _, _, terms = _certified_sums(f, DEFAULT_TOL, order)
+            assert terms <= 30.0 * math.sqrt(lam + 1.0) + 64.0, order
+
+    def test_terms_used_counts_the_window(self):
+        # At lam = 1 the window is [threshold, 48]: nothing is dropped on
+        # the left, and the right end is the floor of 48.
+        assert moments(CappedFunctional(1.0, 2.0, 2.0)).mean.terms_used == 45
+        f = CappedFunctional(1.0, 2.0, 2.0, threshold=10)
+        assert moments(f).variance.terms_used == 39
+
+    def test_cancelled_variance_rejected(self):
+        # lam = 100 * 2048^2 on the falsify schedule: the window fits the
+        # budget and the mean is certified, but E[f^2] - E[f]^2 is roundoff.
+        f = CappedFunctional(419430400.0, 2048.0, 2048.0)
+        mean = moments(f, order=1).mean
+        assert mean.tail_bound <= mean.value
+        with pytest.raises(TruncationError, match="exceeds the variance"):
+            moments(f, order=2)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         f = CappedFunctional(10.0, 3.0, 7.0)
@@ -271,4 +326,4 @@ def test_truncation_error_carries_diagnostics():
 def test_truncation_raised_for_huge_rate():
     # the window for lam this large exceeds the term budget
     with pytest.raises(TruncationError):
-        expectation(CappedFunctional(1e9, 2.0, 2.0))
+        expectation(CappedFunctional(1e15, 2.0, 2.0))
