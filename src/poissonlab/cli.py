@@ -33,6 +33,10 @@ EX_PREDICATE = 2
 EX_USAGE = 64
 EX_NUMERIC = 70
 
+# Most (n, eps) points a regime map evaluates: --n-range count times
+# --eps-range count.
+MAP_MAX_POINTS = 10**4
+
 
 class UsageError(Exception):
     pass
@@ -94,6 +98,13 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text!r}"
         )
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -231,6 +242,9 @@ def cmd_complexity(args) -> int:
         try:
             n_lo, n_hi, n_count = _parse_float_list(args.n_range)
             e_lo, e_hi, e_count = _parse_float_list(args.eps_range)
+            if not 1 <= n_count * e_count <= MAP_MAX_POINTS:
+                raise ValueError(
+                    f"the map takes 1 to {MAP_MAX_POINTS} (n, eps) points")
             n_values = sample_complexity.log_spaced(n_lo, n_hi, int(n_count))
             eps_values = sample_complexity.log_spaced(e_lo, e_hi, int(e_count))
         except (ValueError, TypeError) as exc:
@@ -320,7 +334,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_nonnegative_int, default=1)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)

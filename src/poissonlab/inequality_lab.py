@@ -120,7 +120,10 @@ def _variance_and_mean(lam, a, b, tol):
 
 def _corrected_parts(lam, a, b, tol):
     var, mean = _variance_and_mean(lam, a, b, tol)
-    return var, correction_factor(a, b) * mean
+    den = correction_factor(a, b) * mean
+    if not math.isfinite(den):  # an overflowing or infinite cap product
+        raise ValueError(f"correction factor times mean is {den} at {(lam, a, b)}")
+    return var, den
 
 
 def _indicator_parts(lam, a, b, tol):
@@ -235,6 +238,8 @@ def h_function(lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("rate must be positive")
+    if lam >= 1e3:  # e^lam outgrows the rest: h overflows from lam ~ 750 on
+        return math.inf
     num = min(lam, lam**4)
     poly4 = (((lam + 6.0) * lam + 7.0) * lam + 1.0) * lam
     head = 1.0 + lam + lam * lam / 2.0 + lam**3 / 6.0
@@ -303,7 +308,8 @@ def h_infimum(lambda_max: float = 60.0, grid_points: int = 10**4) -> InfimumResu
         if fun < value:
             value, arg = float(fun), float(x)
 
-    diffs = np.diff(vals[i:])
+    with np.errstate(invalid="ignore"):  # inf - inf past lam ~ 750
+        diffs = np.diff(vals[i:])
     positive = diffs > 0
     tail_certified = False
     if len(positive) >= 10:
@@ -357,7 +363,7 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
                 ratio, num, den = _ratio(which, lam, a, b, grid.tol)
             except SkippedPoint as exc:
                 cert.skipped.append((lam, a, b, str(exc)))
-            except (TruncationError, ValueError) as exc:
+            except (ArithmeticError, ValueError) as exc:
                 cert.errored += 1
                 cert.skipped.append((lam, a, b, f"{type(exc).__name__}: {exc}"))
             else:
@@ -381,13 +387,18 @@ def plateau_check(
     cap_pairs, lam_lo: float = 1e3, lam_hi: float = 1e4,
     rel_tol: float = 0.10, tol: float = DEFAULT_TOL,
 ) -> bool:
-    """Corrected-ratio plateau: for each pair with a, b >= 1 the ratio moves
-    by less than rel_tol (relative) between lam_lo and lam_hi."""
+    """Corrected-ratio plateau: for each pair with a, b >= 1 and a finite
+    correction factor the ratio moves by less than rel_tol (relative)
+    between lam_lo and lam_hi. A pair whose ratio cannot be evaluated
+    there shows no plateau."""
     for a, b in cap_pairs:
-        if min(a, b) < 1.0:
+        if min(a, b) < 1.0 or not math.isfinite(correction_factor(a, b)):
             continue
-        r_lo, _, _ = corrected_ratio(lam_lo, a, b, tol)
-        r_hi, _, _ = corrected_ratio(lam_hi, a, b, tol)
-        if abs(r_hi - r_lo) / r_lo >= rel_tol:
+        try:
+            r_lo, _, _ = corrected_ratio(lam_lo, a, b, tol)
+            r_hi, _, _ = corrected_ratio(lam_hi, a, b, tol)
+        except (ArithmeticError, ValueError):
+            return False
+        if not abs(r_hi - r_lo) < rel_tol * r_lo:
             return False
     return True

@@ -15,19 +15,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 MAX_TERMS = 10**7
 DEFAULT_TOL = 1e-10
 DENOMINATOR_FLOOR = 1e-300
 
 # Relative bound on accumulated floating-point error of the summed terms
-# (pmf evaluation via log-gamma + exp, functional evaluation, exact fsum).
+# (pmf evaluation via log-factorial + exp, functional evaluation, exact fsum).
 # Observed term-level relative errors are ~1e-15; this carries ~100x margin.
 FP_RELATIVE_BOUND = 2e-13
 
 _EPS = 2.220446049250313e-16
-_CHUNK = 1024
+# Elements per temporary in the pairwise oracle's double sum (1 MiB of
+# float64), so its memory does not grow with the window width.
+_PAIRWISE_ELEMENTS = 2**17
 
 
 def _fp_rel(lam: float) -> float:
@@ -149,9 +150,52 @@ def functional_value(x, f: CappedFunctional):
     return vals
 
 
+# log k! = log Gamma(k + 1) by Cephes' Stirling series for log Gamma(z),
+# z >= 13: (z - 1/2) log z - z + log(2 pi)/2 + A(1/z^2)/z, with Horner's rule
+# for A. This is the branch scipy.special.gammaln takes there; with the C
+# library's log (math.log, not np.log, whose vector path rounds some values
+# differently and depends on the CPU) it reproduces gammaln(k + 1) bit for
+# bit. Below k = 12 the values are the exact log(k!).
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_HALF_LOG_2PI = 0.91893853320467274178
+_EXACT_BELOW = 12
+
+
+def _log_factorial_series(k: np.ndarray) -> np.ndarray:
+    """log k! by the Stirling series; accurate for k >= 12."""
+    z = k + 1.0
+    log_z = np.fromiter(map(math.log, z.tolist()), np.float64, len(z))
+    p = 1.0 / (z * z)
+    a = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        a = a * p + c
+    return (z - 0.5) * log_z - z + _HALF_LOG_2PI + a / z
+
+
+# log k! for k < 2^14 (128 KiB): a window whose top index is below 2^14
+# (rates up to ~1.4e4) takes its values as a slice.
+_LOG_FACTORIAL = _log_factorial_series(np.arange(2**14, dtype=np.float64))
+_LOG_FACTORIAL[:_EXACT_BELOW] = [
+    math.log(math.factorial(k)) for k in range(_EXACT_BELOW)
+]
+_LOG_FACTORIAL.flags.writeable = False
+
+
 def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.arange(lo, hi + 1, dtype=np.float64)
-    logp = x * math.log(lam) - lam - gammaln(x + 1.0)
+    if hi < len(_LOG_FACTORIAL):
+        log_fact = _LOG_FACTORIAL[lo : hi + 1]
+    else:
+        log_fact = _log_factorial_series(x)
+        if lo < _EXACT_BELOW:
+            log_fact[: _EXACT_BELOW - lo] = _LOG_FACTORIAL[lo:_EXACT_BELOW]
+    logp = x * math.log(lam) - lam - log_fact
     return x, np.exp(logp)
 
 
@@ -185,7 +229,8 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     A side is widened, by doubling its reach from lambda, until for every
     power its tail is at most min(tol/16, 2^-100 * the largest term of that
     power in the window); trunc_tails[k] is the left plus the right bound.
-    The budget max_terms is checked before each window is allocated.
+    The budget max_terms is checked on the unrounded width, and again
+    before each window is allocated.
     Summation runs in increasing x with exact (fsum) accumulation, so
     results are deterministic.
     """
@@ -197,6 +242,15 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
 
     lam, t = f.lam, f.threshold
     h = 14.0 * math.sqrt(lam + 1.0) + 16.0
+    # Budget the unrounded width: from lambda ~1.6e34 on, h is below half
+    # an ulp of lambda, so the rounded window would look 3 terms wide and
+    # no widening step could move its ends.
+    width = min(2.0 * h, lam + h - t)
+    if width > max_terms:
+        raise TruncationError(
+            f"summation window of {width:.6g} terms exceeds the "
+            f"{max_terms}-term budget"
+        )
     lo = max(t, math.floor(lam - h))
     hi = max(math.ceil(lam + h), t + 16, 48)
     best = math.inf
@@ -355,9 +409,10 @@ def variance_pairwise(
     x, p = _pmf_window(lam, lo, hi)
     fv = functional_value(x, f)
     parts = []
-    for i0 in range(0, len(x), _CHUNK):
-        fi = fv[i0 : i0 + _CHUNK]
-        pi = p[i0 : i0 + _CHUNK]
+    rows = max(1, _PAIRWISE_ELEMENTS // len(x))
+    for i0 in range(0, len(x), rows):
+        fi = fv[i0 : i0 + rows]
+        pi = p[i0 : i0 + rows]
         diff = fi[:, None] - fv[None, :]
         parts.append(float(np.sum(diff * diff * (pi[:, None] * p[None, :]))))
     value = 0.5 * math.fsum(parts)

@@ -122,6 +122,6 @@ def write_regime_csv(rows, stream) -> None:
 
 
 def log_spaced(lo: float, hi: float, count: int) -> np.ndarray:
-    if count < 1 or lo <= 0 or hi < lo:
+    if count < 1 or not 0.0 < lo <= hi < math.inf:
         raise ValueError("need a nonempty positive log-spaced range")
     return np.geomspace(lo, hi, count)

@@ -1,13 +1,17 @@
 """Exit codes, output records, and reproducibility of the command front end."""
 
-import ast
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poissonlab
 from poissonlab import poisson_core
@@ -184,6 +188,18 @@ class TestNoVacuousCertificate:
         assert len(r["records"]) == 15
         assert all(s["reason"].startswith("TruncationError") for s in r["skipped"])
 
+    @pytest.mark.parametrize("caps", ["2,1e400", "1e200,1e200"])
+    def test_infinite_correction_factor_errored(self, tmp_path, caps):
+        # the correction factor is inf: an errored point with its record,
+        # not a division by zero in the plateau check
+        out = tmp_path / "lemma1.json"
+        code = main(["certify", "lemma1", "--caps", caps, "--lambda", "1",
+                     "--out", str(out)])
+        assert code == EX_NUMERIC
+        r = json.loads(out.read_text())["result"]
+        assert r["certified"] is False and r["records"] == []
+        assert [s["reason"].split(":")[0] for s in r["skipped"]] == ["ValueError"]
+
     def test_non_finite_caps_errored(self, tmp_path, capsys):
         out = tmp_path / "claim23.json"
         code = main(["certify", "claim23", "--caps", "inf,inf", "--out", str(out)])
@@ -207,9 +223,15 @@ class TestNoVacuousCertificate:
         ["simulate-d", "--m", "inf"],
         ["falsify", "--target", "nan"],
         ["h", "--lambda-max", "nan"],
+        ["complexity", "--map", "--n-range", "1,1e400,3", "--eps-range",
+         "0.01,0.5,2"],
+        ["complexity", "--map", "--n-range", "1,2,1e12", "--eps-range",
+         "0.01,0.5,2"],
+        ["oracle-check", "--seed", "-1"],
     ],
     ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
-         "m-nan", "m-inf", "target-nan", "lambda-max-nan"],
+         "m-nan", "m-inf", "target-nan", "lambda-max-nan", "map-n-inf",
+         "map-count-huge", "seed-negative"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)
@@ -236,24 +258,114 @@ class TestOneSummationPass:
 
 
 def test_import_leaves_out_optimizer_and_thread_pool():
+    # No SciPy module and no thread pool, imported directly or transitively.
     src = Path(poissonlab.__file__).parent
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, poissonlab.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, poissonlab.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'concurrent')))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src.parent)},
     ).stdout.strip()
-    assert loaded == "False"
-    # numpy.testing, which scipy.special loads, imports concurrent.futures
-    # itself, so the package's own imports are checked instead.
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            for name in names:
-                assert not name.startswith(("concurrent", "scipy.optimize")), (
-                    path.name, name)
+    assert loaded == "[]"
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after the given whole seconds, so a
+    command that never ends fails its test instead of stalling the run."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "lemma1", "--lambda", "1e300", "--caps", "2,4"],
+        ["simulate-d", "--n", "2", "--reps", "2", "--m", "1e300"],
+    ],
+    ids=["certify", "simulate-d"],
+)
+def test_huge_rate_fails_at_once(tmp_path, capsys, argv):
+    # h = 14 sqrt(lam + 1) + 16 is below half an ulp of lam here
+    start = time.perf_counter()
+    with time_limit(30):
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == EX_NUMERIC
+    assert time.perf_counter() - start < 1.0
+
+
+# 0.5 is the one value that --eps, --eps-range and --magnitude accept
+# besides 0, so a drawn complexity run can get past its parsing.
+POOL = ("-1", "0", "0.5", "2", "nan", "inf", "1e300", "1e400", "abc", "")
+LIST_FLAGS = ("--lambda", "--caps", "--n-range", "--eps-range")
+# subcommand -> (positional choices, {flag: small valid value or None for a
+# switch}). A drawn command line gives some of these flags and puts pool
+# values into one or two of them, so each bad value meets an otherwise
+# valid run. The size flags in ALWAYS are always given, so runs stay small.
+SUBCOMMANDS = {
+    "certify": (("lemma1", "claim21", "claim23"),
+                {"--lambda": "2", "--caps": "2,4"}),
+    "falsify": ((), {"--target": "2"}),
+    "simulate-d": ((), {"--n": "2", "--reps": "2", "--l1": "2", "--l2": "2",
+                        "--m": "2", "--magnitude": "0.5"}),
+    "complexity": ((), {"--n": "2", "--l1": "2", "--l2": "2", "--eps": "0.5",
+                        "--map": None, "--both-orders": None,
+                        "--n-range": "2,4,2", "--eps-range": "0.5,1,2"}),
+    "h": ((), {"--grid-points": "2", "--lambda-max": "2"}),
+    "oracle-check": ((), {"--draws": "2"}),
+}
+COMMON_FLAGS = {"--seed": "2", "--threads": "2", "--tol": "0.5",
+                "--format": "json"}
+ALWAYS = ("--lambda", "--target", "--n", "--reps", "--grid-points", "--draws")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    positional, flags = SUBCOMMANDS[command]
+    flags = {**flags, **COMMON_FLAGS}
+    given = [f for f in flags if f in ALWAYS or draw(st.booleans())]
+    valued = [f for f in given if flags[f] is not None]
+    bad = draw(st.lists(st.sampled_from(valued), min_size=1, max_size=2,
+                        unique=True))
+    argv = [command]
+    if positional:
+        argv.append(draw(st.sampled_from(positional)))
+    for flag in given:
+        argv.append(flag)
+        if flags[flag] is None:
+            continue
+        if flag not in bad:
+            argv.append(flags[flag])
+        elif flag in LIST_FLAGS:
+            values = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3))
+            argv.append(",".join(values))
+        else:
+            argv.append(draw(st.sampled_from(POOL)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_any_argv_maps_to_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EX_OK, EX_PREDICATE, EX_USAGE, EX_NUMERIC), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if argv[0] == "certify" and code == EX_NUMERIC:
+        assert out.getvalue(), argv  # failed points are reported in the record

@@ -117,6 +117,13 @@ class TestHFunction:
         assert res.arg == pytest.approx(4.52, abs=0.05)
         assert res.tail_certified
 
+    def test_overflows_to_inf(self):
+        # The polynomials overflow from lam ~ 1.2e77 on; h must not read 0
+        # there, or the infimum over a wide range comes out 0.
+        for lam in (1e3, 1e77, 1e100, 1e300):
+            assert h_function(lam) == math.inf
+        assert h_infimum(lambda_max=1e100).value == h_function(1.0)
+
     def test_restricted_range_monotone(self):
         # on [1, 1.5] the function is decreasing, so the infimum over a
         # restricted search interval sits at the right endpoint
@@ -154,6 +161,15 @@ class TestSweep:
 
     def test_plateau(self):
         assert plateau_check(((4.0, 4.0), (16.0, 64.0)))
+
+    def test_plateau_fails_where_ratio_overflows(self):
+        # a finite factor of 1e304 times a mean of ~1e6 at lam = 1e3
+        assert not plateau_check(((1e152, 1e152),))
+
+    def test_overflowing_envelope_errored(self):
+        cert = sweep(GridSpec((1e300, 2.0), ((2.0, 2.0),)), "claim23")
+        assert cert.errored == 1 and len(cert.records) == 1
+        assert cert.skipped[0][3].startswith("OverflowError")
 
 
 class TestWitnessSearch:

@@ -1,6 +1,7 @@
 """Core moment engine: pmf, certified sums, variance oracles, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from poissonlab.poisson_core import (
     CappedFunctional,
     ORACLE_POINTS,
     TruncationError,
+    _LOG_FACTORIAL,
     _certified_sums,
+    _log_factorial_series,
     _pmf_window,
     expectation,
     fourth_central_moment,
@@ -315,6 +318,66 @@ class TestInvariants:
         direct = variance(f)
         pair = variance_pairwise(f)
         assert abs(direct.value - pair.value) <= direct.tail_bound + pair.tail_bound
+
+
+class TestLogFactorial:
+    # The window's log k! against SciPy's gammaln(k + 1), a test-only
+    # reference; both run Cephes' Stirling series from k = 12 on.
+
+    @staticmethod
+    def assert_within_one_ulp(got, k):
+        special = pytest.importorskip("scipy.special")
+        ref = special.gammaln(k + 1.0)
+        gap = np.abs(got - ref)
+        assert np.all(gap <= np.spacing(np.abs(ref))), k[np.argmax(gap)]
+
+    def test_table_matches_gammaln(self):
+        k = np.arange(2**14, dtype=np.float64)
+        self.assert_within_one_ulp(_LOG_FACTORIAL, k)
+
+    def test_series_matches_gammaln_up_to_1e12(self):
+        k = np.unique(np.floor(np.geomspace(12.0, 1e12, 4000)))
+        # At 9169, 102326 and 351496 np.log's vector path rounds log(k + 1)
+        # away from the C library's log.
+        k = np.concatenate([k, [9169.0, 102326.0, 351496.0]])
+        self.assert_within_one_ulp(_log_factorial_series(k), k)
+
+    def test_small_counts_are_exact(self):
+        for k in range(12):
+            assert _LOG_FACTORIAL[k] == math.log(math.factorial(k))
+
+    def test_window_straddling_the_table(self):
+        # The top index past 2^14 takes the series path; below 2^14 it
+        # must give the table's values.
+        lam, top = 16000.0, 2**14
+        x, p = _pmf_window(lam, top - 40, top + 40)
+        _, p_table = _pmf_window(lam, top - 40, top - 1)
+        assert x[40] == top
+        assert np.array_equal(p[:40], p_table)
+
+    def test_series_window_starting_below_twelve(self):
+        # A series-path window that starts at k = 4 still takes log k! for
+        # k < 12 from the exact values.
+        lam = 5.0
+        _, p = _pmf_window(lam, 4, 2**14 + 8)
+        _, p_table = _pmf_window(lam, 4, 200)
+        assert np.array_equal(p[:197], p_table)
+        for k in range(4, 12):
+            exact = math.exp(k * math.log(lam) - lam - math.log(math.factorial(k)))
+            assert p[k - 4] == exact
+
+
+def test_pairwise_chunks_sized_by_bytes():
+    # At lam = 1e4 the window is ~2400 terms; 1024-row chunks made each
+    # temporary ~20 MB, byte-sized ones keep it at 1 MiB.
+    f = CappedFunctional(1e4, 100.0, 100.0)
+    tracemalloc.start()
+    try:
+        variance_pairwise(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_truncation_error_carries_diagnostics():
