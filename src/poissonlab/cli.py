@@ -264,9 +264,9 @@ def cmd_complexity(args) -> int:
             inputs = sample_complexity.ComplexityInputs(
                 args.n, args.l1, args.l2, args.eps
             )
+            res = sample_complexity.evaluate(inputs, both_orders=args.both_orders)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        res = sample_complexity.evaluate(inputs, both_orders=args.both_orders)
         row = {"n": inputs.n, "l1": inputs.l1, "l2": inputs.l2,
                "eps": inputs.eps}
         row.update(res.terms)

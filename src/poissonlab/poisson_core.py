@@ -5,8 +5,9 @@ X ~ Poisson(lambda). Moments are computed by truncated summation with a
 rigorous geometric tail certificate, and every returned estimate carries a
 certified absolute error bound (truncation tail plus a propagated
 floating-point roundoff term). An independent pairwise-difference variance
-oracle (Var[W] = E[(W - W')^2]/2) and a seeded Monte Carlo cross-check are
-provided for dual-route validation.
+oracle (Var[W] = E[(W - W')^2]/2, summed over the same window) and a seeded
+Monte Carlo cross-check (numpy's sampler, evaluated on the draw histogram)
+are provided for dual-route validation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ _EPS = 2.220446049250313e-16
 # Elements per temporary in the pairwise oracle's double sum (1 MiB of
 # float64), so its memory does not grow with the window width.
 _PAIRWISE_ELEMENTS = 2**17
+# Widest window the pairwise oracle sums over: its cost grows like the
+# square of the width, ~1.3 s at 28,035 terms (lambda = 1e6).
+_PAIRWISE_TERMS = 2**15
 
 
 def _fp_rel(lam: float) -> float:
@@ -199,11 +203,6 @@ def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return x, np.exp(logp)
 
 
-def _term(f: CappedFunctional, x: int, power: int) -> float:
-    p = math.exp(log_pmf(f.lam, x))
-    return functional_value(x, f) ** power * p
-
-
 # Each side of the summation window is widened until its certified tail is
 # at most this share of the largest term of every power. That keeps the
 # tail below half an ulp of the roundoff term _fp_rel(lam) * S_k (at least
@@ -211,14 +210,60 @@ def _term(f: CappedFunctional, x: int, power: int) -> float:
 _REL_CUT = 2.0**-100
 
 
+def _window(lam, floor, t, max_terms):
+    """The first summation window [lo, hi], centred on lambda with half-width
+    h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda - h)),
+    hi = max(ceil(lambda + h), t + 16, 48).
+
+    The budget max_terms is checked on the unrounded width: from lambda
+    ~1.6e34 on, h is below half an ulp of lambda, so the rounded window would
+    look 3 terms wide and no widening step could move its ends.
+    """
+    h = 14.0 * math.sqrt(lam + 1.0) + 16.0
+    width = min(2.0 * h, lam + h - floor)
+    if width > max_terms:
+        raise TruncationError(
+            f"summation window of {width:.6g} terms exceeds the "
+            f"{max_terms}-term budget"
+        )
+    return max(floor, math.floor(lam - h)), max(math.ceil(lam + h), t + 16, 48)
+
+
+def _edged_window(f, lo, hi, floor, max_terms, best):
+    """p(x) and f(x) on [lo - 1, hi + 1], the window with its edge terms (no
+    left edge when lo is the floor), and the slice that holds [lo, hi].
+
+    Raises TruncationError, before allocating, when that is more than
+    max_terms terms.
+    """
+    start = lo - 1 if lo > floor else lo
+    if hi + 2 - start > max_terms:
+        raise TruncationError(
+            f"summation window of {hi + 2 - start} terms exceeds the "
+            f"{max_terms}-term budget",
+            best_bound=best,
+            terms_used=hi - lo + 1,
+        )
+    x, p = _pmf_window(f.lam, start, hi + 1)
+    return p, functional_value(x, f), slice(lo - start, len(x) - 1)
+
+
+def _widen(lam, lo, hi, floor, left_ok, right_ok):
+    """Doubles the reach from lambda of each side whose tail missed its cut."""
+    if not left_ok:
+        lo = max(floor, lo - max(16, math.ceil(lam - lo)))
+    if not right_ok:
+        hi += max(16, math.ceil(hi - lam))
+    return lo, hi
+
+
 def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
 
-    Returns (sums, trunc_tails, terms_used). The window [lo, hi] is centred
-    on lambda with half-width 14*sqrt(lambda+1) + 16, so its cost grows like
-    sqrt(lambda): lo = max(t, floor(lambda - h)), hi = max(ceil(lambda + h),
-    t + 16, 48). The terms outside it are bounded geometrically, from the
-    edge terms lo-1 and hi+1 of the same pmf window:
+    Returns (sums, trunc_tails, terms_used). The window [lo, hi] is the one
+    of _window with floor t, so its cost grows like sqrt(lambda). The terms
+    outside it are bounded geometrically, from the edge terms lo-1 and hi+1
+    of the same pmf window:
 
     - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
       most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
@@ -241,32 +286,11 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
         return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
 
     lam, t = f.lam, f.threshold
-    h = 14.0 * math.sqrt(lam + 1.0) + 16.0
-    # Budget the unrounded width: from lambda ~1.6e34 on, h is below half
-    # an ulp of lambda, so the rounded window would look 3 terms wide and
-    # no widening step could move its ends.
-    width = min(2.0 * h, lam + h - t)
-    if width > max_terms:
-        raise TruncationError(
-            f"summation window of {width:.6g} terms exceeds the "
-            f"{max_terms}-term budget"
-        )
-    lo = max(t, math.floor(lam - h))
-    hi = max(math.ceil(lam + h), t + 16, 48)
+    lo, hi = _window(lam, t, t, max_terms)
     best = math.inf
     while True:
-        start = lo - 1 if lo > t else lo
-        if hi + 2 - start > max_terms:
-            raise TruncationError(
-                f"summation window of {hi + 2 - start} terms exceeds the "
-                f"{max_terms}-term budget",
-                best_bound=best,
-                terms_used=hi - lo + 1,
-            )
-        x, p = _pmf_window(lam, start, hi + 1)
-        fv = functional_value(x, f)
+        p, fv, body = _edged_window(f, lo, hi, t, max_terms, best)
         r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** (2 * max_power)
-        body = slice(lo - start, len(x) - 1)
         terms, trunc = {}, {}
         left_ok = right_ok = True
         fpow = np.ones_like(fv)
@@ -283,10 +307,7 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
             sums = {k: math.fsum(terms[k][body]) for k in powers}
             return sums, trunc, hi - lo + 1
         best = max(trunc.values())
-        if not left_ok:
-            lo = max(t, lo - max(16, math.ceil(lam - lo)))
-        if not right_ok:
-            hi += max(16, math.ceil(hi - lam))
+        lo, hi = _widen(lam, lo, hi, t, left_ok, right_ok)
 
 
 def _guarded(
@@ -313,11 +334,12 @@ def moments(
     The variance is E[f^2] - E[f]^2 with the error bound propagated; it falls
     back to the pairwise-identity route when the subtraction is
     catastrophically cancelled (operands above 1e8 agreeing to more than
-    12 significant digits). Order 4 adds the fourth central moment
-    E[(f(X) - E f(X))^4], used for variance standard-error bands. A higher
-    order can widen the summation window, which moves lower moments in the
-    last bit, so ask for the lowest order needed. A moment whose certified
-    bound exceeds its value raises TruncationError.
+    12 significant digits), within that route's width budget. Order 4 adds
+    the fourth central moment E[(f(X) - E f(X))^4], used for variance
+    standard-error bands. A higher order can widen the summation window,
+    which moves lower moments in the last bit, so ask for the lowest order
+    needed. A moment whose certified bound exceeds its value raises
+    TruncationError.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, got {order}")
@@ -376,9 +398,15 @@ def variance_pairwise(
 ) -> PairwiseVarianceResult:
     """Independent variance oracle: (1/2) sum_{x,y} (f(x)-f(y))^2 p(x)p(y).
 
-    The double sum runs over a window carrying all but a certified sliver of
-    the pmf mass; contributions of pairs outside the window are bounded via
-    (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2 and geometric pmf tails.
+    The double sum runs over the engine's window (_window) with floor 0, not
+    t: draws with f = 0 still pair against nonzero values and contribute to
+    E[(W - W')^2]. Pairs with a member outside the window are bounded via
+    (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2 and geometric pmf tails taken from
+    the window's edge terms; a side whose f^2-tail exceeds tol/16 doubles
+    its reach from lambda. The sum is over the upper triangle, x < y, and
+    stays O(W^2), so it shares no arithmetic with the engine's
+    E[f^2] - E[f]^2. A window wider than _PAIRWISE_TERMS raises
+    TruncationError before anything is allocated.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -386,80 +414,77 @@ def variance_pairwise(
     if lam == 0.0 or f.cap_a == 0.0:
         return PairwiseVarianceResult(0.0, 0.0)
 
-    # The window starts below the threshold: draws with f = 0 still pair
-    # against nonzero values and contribute to E[(W - W')^2].
-    lo = max(0, int(math.floor(lam - 12.0 * math.sqrt(lam + 1.0))))
-    hi = max(
-        int(math.ceil(lam + 12.0 * math.sqrt(lam + 1.0))), f.threshold + 16, 48
-    )
+    lo, hi = _window(lam, 0, f.threshold, _PAIRWISE_TERMS)
+    best = math.inf
     while True:
-        top = _term(f, hi + 1, 2)
-        ratio = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** 4
-        if top <= tol / 16.0 and ratio < 0.9:
+        p, fv, body = _edged_window(f, lo, hi, 0, _PAIRWISE_TERMS, best)
+        ratio_r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** 4
+        if ratio_r < 1.0:
+            ptail_r = float(p[-1]) / (1.0 - ratio_r)
+            f2tail_r = float(fv[-1]) ** 2 * float(p[-1]) / (1.0 - ratio_r)
+        else:
+            ptail_r = f2tail_r = math.inf
+        ptail_l = f2tail_l = 0.0
+        if lo > 0:
+            ptail_l = float(p[0]) / (1.0 - (lo - 1.0) / lam)
+            f2tail_l = float(fv[0]) ** 2 * ptail_l
+        left_ok = f2tail_l <= tol / 16.0
+        right_ok = f2tail_r <= tol / 16.0
+        if left_ok and right_ok:
             break
-        step = max(16, hi // 8)
-        if hi + step > MAX_TERMS:
-            raise TruncationError(
-                "tolerance unreachable within the summation-term budget",
-                best_bound=top,
-                terms_used=hi,
-            )
-        hi += step
+        best = max(f2tail_l, f2tail_r)
+        lo, hi = _widen(lam, lo, hi, 0, left_ok, right_ok)
 
-    x, p = _pmf_window(lam, lo, hi)
-    fv = functional_value(x, f)
+    fv, p = fv[body], p[body]
+    n = len(fv)
+    rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
-    rows = max(1, _PAIRWISE_ELEMENTS // len(x))
-    for i0 in range(0, len(x), rows):
-        fi = fv[i0 : i0 + rows]
-        pi = p[i0 : i0 + rows]
-        diff = fi[:, None] - fv[None, :]
-        parts.append(float(np.sum(diff * diff * (pi[:, None] * p[None, :]))))
+    for i0 in range(0, n, rows):
+        k = min(rows, n - i0)
+        block = fv[i0 : i0 + k, None] - fv[None, i0:]
+        block *= block
+        block *= p[i0 : i0 + k, None] * p[None, i0:]
+        # The k x k diagonal block holds each of its pairs twice; the
+        # columns past it hold pairs whose mirror images are not summed.
+        parts.append(float(np.sum(block[:, :k])))
+        parts.append(2.0 * float(np.sum(block[:, k:])))
     value = 0.5 * math.fsum(parts)
 
     s1w = math.fsum(fv * p)
     s2w = math.fsum(fv * fv * p)
-
-    ratio_r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** 4
-    p_hi = math.exp(log_pmf(lam, hi + 1))
-    ptail_r = p_hi / (1.0 - ratio_r)
-    f2tail_r = _term(f, hi + 1, 2) / (1.0 - ratio_r)
-    ptail_l = 0.0
-    f2tail_l = 0.0
-    if lo > 0:
-        ratio_l = (lo - 1.0) / lam
-        p_lo = math.exp(log_pmf(lam, lo - 1))
-        ptail_l = p_lo / (1.0 - ratio_l)
-        f2tail_l = functional_value(lo - 1, f) ** 2 * ptail_l
     trunc = 4.0 * (f2tail_r + f2tail_l + (ptail_r + ptail_l) * s2w)
     fp = _fp_rel(lam) * (2.0 * s2w + s1w * s1w + value)
     return PairwiseVarianceResult(value, trunc + fp)
 
 
-def plain_indicator_moments(
-    lam: float, tol: float = DEFAULT_TOL
-) -> tuple[MomentEstimate, MomentEstimate]:
-    """(E, Var) of X*1(X >= 4) via the same engine.
-
-    Caps of 1 make the sqrt factor identically 1 on x >= threshold, which
-    reduces the capped functional to the plain indicator one.
-    """
-    m = moments(CappedFunctional(lam, 1.0, 1.0), tol, 2)
-    return m.mean, m.variance
-
-
 def monte_carlo_moments(
     f: CappedFunctional, draws: int, seed: int
 ) -> MonteCarloMoments:
-    """Seeded sample mean and variance of f(X) over independent draws."""
+    """Seeded sample mean and variance of f(X) over independent draws.
+
+    The draws come from numpy's Poisson sampler, never from the pmf this
+    module certifies. f is evaluated once per distinct value drawn: with
+    counts c(x), the mean is fsum(c f) / N and the variance is the two-pass
+    fsum(c (f - mean)^2) / (N - 1). The counts come from a bincount when the
+    draws span at most N values, so it is never larger than the draws
+    themselves, and from a sort otherwise.
+    """
     if draws < 2:
         raise ValueError("need at least 2 draws")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs = rng.poisson(f.lam, size=draws)
-    vals = functional_value(xs, f)
-    return MonteCarloMoments(
-        float(vals.mean()), float(vals.var(ddof=1)), draws, seed
-    )
+    base = int(xs.min())
+    if int(xs.max()) - base < draws:
+        xs -= base
+        counts = np.bincount(xs)
+        seen = np.flatnonzero(counts)
+        counts, seen = counts[seen], seen + base
+    else:
+        seen, counts = np.unique(xs, return_counts=True)
+    vals = functional_value(seen, f)
+    mean = math.fsum(counts * vals) / draws
+    var = math.fsum(counts * (vals - mean) ** 2) / (draws - 1)
+    return MonteCarloMoments(mean, var, draws, seed)
 
 
 # Pinned dual-route check points (lam, cap_a, cap_b), spanning rates from

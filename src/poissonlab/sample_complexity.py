@@ -4,12 +4,14 @@ The bound is max{ min{ n^(7/8) l1^(1/4) l2^(1/4) / eps,
 n^(6/7) l1^(2/7) l2^(2/7) / eps^(8/7) }, n^(3/4) l1^(1/2) l2^(1/2) / eps,
 n^(2/3) l1^(2/3) l2^(1/3) / eps^(4/3), n^(1/2) l1^(1/2) l2^(1/2) / eps^2 },
 evaluated with implied constant 1 ("up to constants"). All terms are
-computed in log space; ties follow the display order above.
+computed in log space; ties follow the display order above. A term above
+the largest float raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ _EXPONENTS = {
 }
 
 TERM_NAMES = tuple(_EXPONENTS)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ def _log_terms(n, l1, l2, eps):
 
 def _evaluate_raw(n, l1, l2, eps) -> ComplexityResult:
     lt = _log_terms(n, l1, l2, eps)
+    for name, v in lt.items():
+        if v > _LOG_FLOAT_MAX:
+            raise ValueError(f"term {name} = exp({v:.6g}) is not a finite float")
     min_name = "T1a" if lt["T1a"] <= lt["T1b"] else "T1b"
     candidates = (
         (lt[min_name], "T1", min_name),

@@ -228,10 +228,15 @@ class TestNoVacuousCertificate:
         ["complexity", "--map", "--n-range", "1,2,1e12", "--eps-range",
          "0.01,0.5,2"],
         ["oracle-check", "--seed", "-1"],
+        ["complexity", "--n", "1000", "--l1", "4", "--l2", "8", "--eps",
+         "1e-300"],
+        ["complexity", "--map", "--n-range", "1e3,1e3,1", "--eps-range",
+         "1e-300,1e-300,1"],
     ],
     ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
          "m-nan", "m-inf", "target-nan", "lambda-max-nan", "map-n-inf",
-         "map-count-huge", "seed-negative"],
+         "map-count-huge", "seed-negative", "eps-overflow",
+         "map-eps-overflow"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)

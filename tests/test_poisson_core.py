@@ -1,6 +1,7 @@
 """Core moment engine: pmf, certified sums, variance oracles, sampling."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from poissonlab.poisson_core import (
     log_pmf,
     moments,
     monte_carlo_moments,
-    plain_indicator_moments,
     pmf,
     variance,
     variance_pairwise,
@@ -172,20 +172,27 @@ class TestVariance:
 
 
 class TestPlainIndicator:
+    # Caps of 1 make the sqrt factor identically 1 on x >= threshold, which
+    # reduces the capped functional to X * 1(X >= 4).
+    @staticmethod
+    def plain(lam):
+        m = moments(CappedFunctional(lam, 1.0, 1.0), order=2)
+        return m.mean, m.variance
+
     @pytest.mark.parametrize("lam", sorted(PLAIN_EXPECTATION_ORACLE))
     def test_frozen_oracle(self, lam):
-        est, _var = plain_indicator_moments(lam)
+        est, _var = self.plain(lam)
         assert est.value == pytest.approx(PLAIN_EXPECTATION_ORACLE[lam], rel=1e-11)
 
     def test_complement_identity(self):
         # E[X 1(X>=4)] = lam - sum_{x<4} x p(x)
         lam = 7.0
         head = sum(x * pmf(lam, x) for x in range(4))
-        est, _ = plain_indicator_moments(lam)
+        est, _ = self.plain(lam)
         assert est.value == pytest.approx(lam - head, rel=1e-12)
 
     def test_variance_positive(self):
-        _, var = plain_indicator_moments(3.0)
+        _, var = self.plain(3.0)
         assert var.value > 0.0
 
 
@@ -285,6 +292,37 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_moments(CappedFunctional(1.0, 1.0, 1.0), 1, seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.0, 1e4),
+        a=st.sampled_from((0.25, 1.0, 2.0, 7.5, 64.0, 1e6)),
+        b=st.sampled_from((0.5, 4.0, 36.0, 1e6)),
+        draws=st.integers(2, 10**4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_histogram_matches_per_draw(self, lam, a, b, draws, seed):
+        # Reference: f on every draw of the same stream, numpy's mean and
+        # ddof=1 variance.
+        f = CappedFunctional(lam, a, b)
+        mc = monte_carlo_moments(f, draws, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        vals = functional_value(rng.poisson(lam, size=draws), f)
+        assert mc.mean == pytest.approx(vals.mean(), rel=1e-14, abs=0.0)
+        assert mc.variance == pytest.approx(vals.var(ddof=1), rel=1e-14, abs=0.0)
+
+    def test_histogram_not_rate_sized(self):
+        # 10^4 draws at lambda = 1e12 spread over ~1e7 values; counting them
+        # in a bincount over that span would take ~60 MiB.
+        f = CappedFunctional(1e12, 2.0, 4.0)
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_moments(f, 10**4, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert mc.mean == pytest.approx(math.sqrt(8.0) * 1e12, rel=1e-4)
+
 
 class TestInvariants:
     @settings(max_examples=25, deadline=None)
@@ -303,7 +341,7 @@ class TestInvariants:
     def test_mass_identity(self, lam):
         # With unit caps, f(x) = x for x >= 4, so adding back the four head
         # terms must recover E[X] = lam to within the certified bound.
-        est, _ = plain_indicator_moments(lam)
+        est = moments(CappedFunctional(lam, 1.0, 1.0), order=2).mean
         head = sum(x * pmf(lam, x) for x in range(4))
         assert est.value + head == pytest.approx(lam, rel=1e-9, abs=1e-11)
 
@@ -378,6 +416,26 @@ def test_pairwise_chunks_sized_by_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_pairwise_on_the_engine_window():
+    # At lambda = 1e5 the engine's window is ~8,900 terms, so the O(W^2)
+    # sum takes well under a second. For lambda >> caps 2, 4 the variance
+    # is 8 lambda up to a tail far below the certified bound.
+    lam = 1e5
+    start = time.perf_counter()
+    pw = variance_pairwise(CappedFunctional(lam, 2.0, 4.0))
+    assert time.perf_counter() - start < 2.0
+    assert abs(pw.value - 8.0 * lam) <= pw.tail_bound
+
+
+def test_pairwise_budget_on_the_width():
+    # lambda = 1e8 needs ~280,000 terms, past the pair budget: it raises
+    # before anything is allocated.
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="exceeds the 32768-term"):
+        variance_pairwise(CappedFunctional(1e8, 2.0, 4.0))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_truncation_error_carries_diagnostics():
