@@ -292,8 +292,8 @@ def h_infimum(lambda_max: float = 60.0, grid_points: int = 10**4) -> InfimumResu
     refinement around the interior minimizer.
 
     The tail beyond the minimizer is certified by discrete-derivative
-    positivity: the grid differences must turn positive and stay positive
-    for at least 10 consecutive steps through the end of the grid.
+    positivity: the last 10 grid differences, through the end of the grid,
+    must be positive (a NaN difference, inf - inf, is not).
     """
     if lambda_max < 1.0:
         raise ValueError("lambda_max must be >= 1")
@@ -310,15 +310,7 @@ def h_infimum(lambda_max: float = 60.0, grid_points: int = 10**4) -> InfimumResu
 
     with np.errstate(invalid="ignore"):  # inf - inf past lam ~ 750
         diffs = np.diff(vals[i:])
-    positive = diffs > 0
-    tail_certified = False
-    if len(positive) >= 10:
-        run = 0
-        for j, pos in enumerate(positive):
-            run = run + 1 if pos else 0
-            if run >= 10 and bool(np.all(positive[j - run + 1 :])):
-                tail_certified = True
-                break
+    tail_certified = len(diffs) >= 10 and bool(np.all(diffs[-10:] > 0))
     return InfimumResult(value, arg, tail_certified)
 
 

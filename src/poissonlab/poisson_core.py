@@ -31,7 +31,7 @@ _EPS = 2.220446049250313e-16
 # float64), so its memory does not grow with the window width.
 _PAIRWISE_ELEMENTS = 2**17
 # Widest window the pairwise oracle sums over: its cost grows like the
-# square of the width, ~1.3 s at 28,035 terms (lambda = 1e6).
+# square of the width: 0.6 s at 28,035 terms (lambda = 1e6, one Xeon core).
 _PAIRWISE_TERMS = 2**15
 
 
@@ -210,15 +210,32 @@ def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 _REL_CUT = 2.0**-100
 
 
-def _window(lam, floor, t, max_terms):
-    """The first summation window [lo, hi], centred on lambda with half-width
-    h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda - h)),
-    hi = max(ceil(lambda + h), t + 16, 48).
+def _certified_window(f, tol, floor, max_power, max_terms):
+    """The certified summation window of f, shared by both variance routes.
 
-    The budget max_terms is checked on the unrounded width: from lambda
-    ~1.6e34 on, h is below half an ulp of lambda, so the rounded window would
-    look 3 terms wide and no widening step could move its ends.
+    Returns (p, fv, body, terms, trunc, lo, r): p(x) and f(x) on
+    [lo - 1, hi + 1] (no left edge term when lo is the floor), the slice
+    body that holds [lo, hi], terms[k] = f^k p on the same range and
+    trunc[k], the certified tail of sum f^k p outside [lo, hi], for
+    k = 1..max_power, and the right term ratio r < 1. The first window has
+    half-width h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda - h))
+    and hi = max(ceil(lambda + h), t + 16, 48), so its cost grows like
+    sqrt(lambda). The tails are geometric, from the edge terms:
+
+    - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
+      most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
+      the tail is at most term(hi+1) / (1 - r) once r < 1;
+    - left (when lo > floor): f is nondecreasing and p(x-1)/p(x) = x/lambda,
+      so the tail is at most term(lo-1) / (1 - (lo-1)/lambda).
+
+    A side is widened, by doubling its reach from lambda, until for every
+    power its tail is at most min(tol/16, 2^-100 * the largest term of that
+    power in the window). The budget max_terms is checked on the unrounded
+    width, because from lambda ~1.6e34 on h is below half an ulp of lambda
+    and no widening could move the rounded ends, and again before each
+    window is allocated.
     """
+    lam, t = f.lam, f.threshold
     h = 14.0 * math.sqrt(lam + 1.0) + 16.0
     width = min(2.0 * h, lam + h - floor)
     if width > max_terms:
@@ -226,88 +243,59 @@ def _window(lam, floor, t, max_terms):
             f"summation window of {width:.6g} terms exceeds the "
             f"{max_terms}-term budget"
         )
-    return max(floor, math.floor(lam - h)), max(math.ceil(lam + h), t + 16, 48)
-
-
-def _edged_window(f, lo, hi, floor, max_terms, best):
-    """p(x) and f(x) on [lo - 1, hi + 1], the window with its edge terms (no
-    left edge when lo is the floor), and the slice that holds [lo, hi].
-
-    Raises TruncationError, before allocating, when that is more than
-    max_terms terms.
-    """
-    start = lo - 1 if lo > floor else lo
-    if hi + 2 - start > max_terms:
-        raise TruncationError(
-            f"summation window of {hi + 2 - start} terms exceeds the "
-            f"{max_terms}-term budget",
-            best_bound=best,
-            terms_used=hi - lo + 1,
-        )
-    x, p = _pmf_window(f.lam, start, hi + 1)
-    return p, functional_value(x, f), slice(lo - start, len(x) - 1)
-
-
-def _widen(lam, lo, hi, floor, left_ok, right_ok):
-    """Doubles the reach from lambda of each side whose tail missed its cut."""
-    if not left_ok:
-        lo = max(floor, lo - max(16, math.ceil(lam - lo)))
-    if not right_ok:
-        hi += max(16, math.ceil(hi - lam))
-    return lo, hi
+    lo, hi = max(floor, math.floor(lam - h)), max(math.ceil(lam + h), t + 16, 48)
+    best = math.inf
+    while True:
+        start = lo - 1 if lo > floor else lo
+        if hi + 2 - start > max_terms:
+            raise TruncationError(
+                f"summation window of {hi + 2 - start} terms exceeds the "
+                f"{max_terms}-term budget",
+                best_bound=best,
+                terms_used=hi - lo + 1,
+            )
+        x, p = _pmf_window(lam, start, hi + 1)
+        fv = functional_value(x, f)
+        body = slice(lo - start, len(x) - 1)
+        r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** (2 * max_power)
+        terms, trunc = {}, {}
+        left_ok = right_ok = True
+        fpow = np.ones_like(fv)
+        for k in range(1, max_power + 1):
+            fpow = fpow * fv
+            terms[k] = fpow * p
+            cut = min(tol / 16.0, _REL_CUT * float(terms[k][body].max()))
+            right = terms[k][-1] / (1.0 - r) if r < 1.0 else math.inf
+            left = terms[k][0] / (1.0 - (lo - 1.0) / lam) if lo > floor else 0.0
+            left_ok = left_ok and left <= cut
+            right_ok = right_ok and right <= cut
+            trunc[k] = float(left + right)
+        if left_ok and right_ok:
+            return p, fv, body, terms, trunc, lo, r
+        best = max(trunc.values())
+        if not left_ok:
+            lo = max(floor, lo - max(16, math.ceil(lam - lo)))
+        if not right_ok:
+            hi += max(16, math.ceil(hi - lam))
 
 
 def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
 
-    Returns (sums, trunc_tails, terms_used). The window [lo, hi] is the one
-    of _window with floor t, so its cost grows like sqrt(lambda). The terms
-    outside it are bounded geometrically, from the edge terms lo-1 and hi+1
-    of the same pmf window:
-
-    - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
-      most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
-      the tail is at most term(hi+1) / (1 - r) once r < 1;
-    - left (when lo > t): f is nondecreasing and p(x-1)/p(x) = x/lambda, so
-      the tail is at most term(lo-1) / (1 - (lo-1)/lambda).
-
-    A side is widened, by doubling its reach from lambda, until for every
-    power its tail is at most min(tol/16, 2^-100 * the largest term of that
-    power in the window); trunc_tails[k] is the left plus the right bound.
-    The budget max_terms is checked on the unrounded width, and again
-    before each window is allocated.
-    Summation runs in increasing x with exact (fsum) accumulation, so
-    results are deterministic.
+    Returns (sums, trunc_tails, terms_used) over the window of
+    _certified_window with floor t: sums taken exactly (fsum) in increasing
+    x, so results are deterministic, that window's tails and its width.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     powers = range(1, max_power + 1)
     if f.lam == 0.0 or f.cap_a == 0.0:
         return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
-
-    lam, t = f.lam, f.threshold
-    lo, hi = _window(lam, t, t, max_terms)
-    best = math.inf
-    while True:
-        p, fv, body = _edged_window(f, lo, hi, t, max_terms, best)
-        r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** (2 * max_power)
-        terms, trunc = {}, {}
-        left_ok = right_ok = True
-        fpow = np.ones_like(fv)
-        for k in powers:
-            fpow = fpow * fv
-            terms[k] = fpow * p
-            cut = min(tol / 16.0, _REL_CUT * float(terms[k][body].max()))
-            right = terms[k][-1] / (1.0 - r) if r < 1.0 else math.inf
-            left = terms[k][0] / (1.0 - (lo - 1.0) / lam) if lo > t else 0.0
-            left_ok = left_ok and left <= cut
-            right_ok = right_ok and right <= cut
-            trunc[k] = float(left + right)
-        if left_ok and right_ok:
-            sums = {k: math.fsum(terms[k][body]) for k in powers}
-            return sums, trunc, hi - lo + 1
-        best = max(trunc.values())
-        lo, hi = _widen(lam, lo, hi, t, left_ok, right_ok)
+    _, _, body, terms, trunc, _, _ = _certified_window(
+        f, tol, f.threshold, max_power, max_terms
+    )
+    sums = {k: math.fsum(terms[k][body]) for k in powers}
+    return sums, trunc, body.stop - body.start
 
 
 def _guarded(
@@ -331,15 +319,15 @@ def moments(
     """Certified moments of f(X) up to the given order (1, 2 or 4) from one
     summation pass.
 
-    The variance is E[f^2] - E[f]^2 with the error bound propagated; it falls
-    back to the pairwise-identity route when the subtraction is
-    catastrophically cancelled (operands above 1e8 agreeing to more than
-    12 significant digits), within that route's width budget. Order 4 adds
-    the fourth central moment E[(f(X) - E f(X))^4], used for variance
-    standard-error bands. A higher order can widen the summation window,
-    which moves lower moments in the last bit, so ask for the lowest order
-    needed. A moment whose certified bound exceeds its value raises
-    TruncationError.
+    The sums come from one _certified_window pass with floor t, its tails
+    cut at min(tol/16, 2^-100 * the largest term) for every power. The
+    variance is E[f^2] - E[f]^2 with the error bound propagated; it has no
+    other route. Order 4 adds the fourth central moment
+    E[(f(X) - E f(X))^4], used for variance standard-error bands. A higher
+    order can widen the summation window, which moves lower moments in the
+    last bit, so ask for the lowest order needed. A moment whose certified
+    bound exceeds its value raises TruncationError; for the variance that
+    happens where the subtraction leaves only roundoff.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, got {order}")
@@ -351,14 +339,8 @@ def moments(
         return Moments(mean)
 
     s2, t2 = sums[2], trunc[2]
-    val = s2 - s1 * s1
-    if s2 > 1e8 and s1 * s1 > 1e8 and abs(val) < 1e-12 * s2:
-        pw = variance_pairwise(f, tol)
-        var = MomentEstimate(pw.value, pw.tail_bound, n)
-    else:
-        tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
-        var = MomentEstimate(max(val, 0.0), tail, n)
-    var = _guarded("variance", var, f)
+    tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
+    var = _guarded("variance", MomentEstimate(max(s2 - s1 * s1, 0.0), tail, n), f)
     if order == 2:
         return Moments(mean, var)
 
@@ -398,14 +380,15 @@ def variance_pairwise(
 ) -> PairwiseVarianceResult:
     """Independent variance oracle: (1/2) sum_{x,y} (f(x)-f(y))^2 p(x)p(y).
 
-    The double sum runs over the engine's window (_window) with floor 0, not
-    t: draws with f = 0 still pair against nonzero values and contribute to
-    E[(W - W')^2]. Pairs with a member outside the window are bounded via
-    (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2 and geometric pmf tails taken from
-    the window's edge terms; a side whose f^2-tail exceeds tol/16 doubles
-    its reach from lambda. The sum is over the upper triangle, x < y, and
-    stays O(W^2), so it shares no arithmetic with the engine's
-    E[f^2] - E[f]^2. A window wider than _PAIRWISE_TERMS raises
+    The double sum runs over the engine's window (_certified_window with
+    floor 0, not t, powers 1 and 2 and the _PAIRWISE_TERMS budget), so it is
+    cut where the engine's is, at min(tol/16, 2^-100 * the largest term) on
+    f and f^2: draws with f = 0 still pair against nonzero values and
+    contribute to E[(W - W')^2]. Pairs with a member outside the window are
+    bounded via (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2, with the window's f^2
+    tails and geometric pmf tails from its edge terms. The sum is over the
+    upper triangle, x < y, and stays O(W^2), so it shares no arithmetic with
+    the engine's E[f^2] - E[f]^2. A window wider than _PAIRWISE_TERMS raises
     TruncationError before anything is allocated.
     """
     if tol <= 0:
@@ -414,26 +397,11 @@ def variance_pairwise(
     if lam == 0.0 or f.cap_a == 0.0:
         return PairwiseVarianceResult(0.0, 0.0)
 
-    lo, hi = _window(lam, 0, f.threshold, _PAIRWISE_TERMS)
-    best = math.inf
-    while True:
-        p, fv, body = _edged_window(f, lo, hi, 0, _PAIRWISE_TERMS, best)
-        ratio_r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** 4
-        if ratio_r < 1.0:
-            ptail_r = float(p[-1]) / (1.0 - ratio_r)
-            f2tail_r = float(fv[-1]) ** 2 * float(p[-1]) / (1.0 - ratio_r)
-        else:
-            ptail_r = f2tail_r = math.inf
-        ptail_l = f2tail_l = 0.0
-        if lo > 0:
-            ptail_l = float(p[0]) / (1.0 - (lo - 1.0) / lam)
-            f2tail_l = float(fv[0]) ** 2 * ptail_l
-        left_ok = f2tail_l <= tol / 16.0
-        right_ok = f2tail_r <= tol / 16.0
-        if left_ok and right_ok:
-            break
-        best = max(f2tail_l, f2tail_r)
-        lo, hi = _widen(lam, lo, hi, 0, left_ok, right_ok)
+    p, fv, body, terms, trunc, lo, r = _certified_window(
+        f, tol, 0, 2, _PAIRWISE_TERMS
+    )
+    ptail = float(p[-1]) / (1.0 - r)
+    ptail += float(p[0]) / (1.0 - (lo - 1.0) / lam) if lo > 0 else 0.0
 
     fv, p = fv[body], p[body]
     n = len(fv)
@@ -450,11 +418,10 @@ def variance_pairwise(
         parts.append(2.0 * float(np.sum(block[:, k:])))
     value = 0.5 * math.fsum(parts)
 
-    s1w = math.fsum(fv * p)
-    s2w = math.fsum(fv * fv * p)
-    trunc = 4.0 * (f2tail_r + f2tail_l + (ptail_r + ptail_l) * s2w)
+    s1w = math.fsum(terms[1][body])
+    s2w = math.fsum(terms[2][body])
     fp = _fp_rel(lam) * (2.0 * s2w + s1w * s1w + value)
-    return PairwiseVarianceResult(value, trunc + fp)
+    return PairwiseVarianceResult(value, 4.0 * (trunc[2] + ptail * s2w) + fp)
 
 
 def monte_carlo_moments(

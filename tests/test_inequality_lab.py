@@ -122,13 +122,16 @@ class TestHFunction:
         # there, or the infimum over a wide range comes out 0.
         for lam in (1e3, 1e77, 1e100, 1e300):
             assert h_function(lam) == math.inf
-        assert h_infimum(lambda_max=1e100).value == h_function(1.0)
+        res = h_infimum(lambda_max=1e100)
+        assert res.value == h_function(1.0)
+        assert not res.tail_certified  # NaN differences past lam ~ 750
 
     def test_restricted_range_monotone(self):
         # on [1, 1.5] the function is decreasing, so the infimum over a
         # restricted search interval sits at the right endpoint
         res = h_infimum(lambda_max=1.5)
         assert res.value == pytest.approx(h_function(1.5), rel=1e-6)
+        assert not res.tail_certified  # no grid left past the minimizer
 
 
 class TestSweep:

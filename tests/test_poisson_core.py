@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poissonlab.inequality_lab import default_grid
 from poissonlab.poisson_core import (
     DEFAULT_TOL,
     CappedFunctional,
@@ -261,6 +262,30 @@ class TestTwoSidedWindow:
         with pytest.raises(TruncationError, match="exceeds the variance"):
             moments(f, order=2)
 
+    def test_one_variance_route(self, monkeypatch):
+        # moments takes its variance from its own sums only: on the falsify
+        # schedule (a = b = k, lam = 100 k^2) and at the default lemma1
+        # grid's corners it returns or raises TruncationError, and never
+        # enters the pairwise oracle.
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("moments entered variance_pairwise")
+
+        monkeypatch.setattr("poissonlab.poisson_core.variance_pairwise", oracle)
+        grid = default_grid("lemma1")
+        points = [(100.0 * k * k, k, k) for k in (2.0**j for j in range(2, 12))]
+        c0, c1 = grid.cap_pairs[0][0], grid.cap_pairs[-1][1]
+        for lam in (grid.lambda_points[0], grid.lambda_points[-1]):
+            points += [(lam, c0, c0), (lam, c0, c1), (lam, c1, c1)]
+        for point in points:
+            try:
+                moments(CappedFunctional(*point), order=2)
+            except TruncationError:
+                pass
+        assert calls == []
+
 
 class TestMonteCarlo:
     def test_deterministic(self):
@@ -349,12 +374,15 @@ class TestInvariants:
     @given(
         lam=st.floats(0.01, 200.0),
         a=st.floats(0.1, 32.0),
-        b=st.floats(0.1, 32.0),
+        b=st.one_of(st.floats(0.1, 32.0), st.just(math.inf)),
+        tol=st.sampled_from((1e-10, 1e-30)),
     )
-    def test_variance_oracles_agree(self, lam, a, b):
+    def test_variance_oracles_agree(self, lam, a, b, tol):
+        # At tol 1e-30 the shared window widens past its first width, also
+        # under the oracle's floor 0.
         f = CappedFunctional(lam, a, b)
-        direct = variance(f)
-        pair = variance_pairwise(f)
+        direct = variance(f, tol)
+        pair = variance_pairwise(f, tol)
         assert abs(direct.value - pair.value) <= direct.tail_bound + pair.tail_bound
 
 
