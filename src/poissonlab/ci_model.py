@@ -10,7 +10,7 @@ quantities feed the Poissonized weighted-statistic model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class JointDistribution:
     l2: int
     n: int
     pmf: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if min(self.l1, self.l2, self.n) < 1:
@@ -131,7 +130,7 @@ def generate_null(l1: int, l2: int, n: int, seed: int) -> JointDistribution:
     py /= py.sum(axis=1, keepdims=True)
     table = np.einsum("z,zx,zy->xyz", zm, px, py)
     table /= table.sum()
-    return JointDistribution(l1, l2, n, table, {"kind": "null", "seed": seed})
+    return JointDistribution(l1, l2, n, table)
 
 
 def perturb(
@@ -140,8 +139,7 @@ def perturb(
     """Mass- and marginal-preserving within-slice tilt creating dependence.
 
     Each slice gets a +d/-d checkerboard on a random 2x2 cell pattern with
-    d = magnitude * mass_z / 4, clipped so entries stay nonnegative; clipping
-    is flagged in the result metadata.
+    d = magnitude * mass_z / 4, clipped so entries stay nonnegative.
     """
     if not (0.0 < magnitude <= 1.0):
         raise ValueError("magnitude must lie in (0, 1]")
@@ -149,7 +147,6 @@ def perturb(
         raise ValueError("each slice must be at least 2x2 to perturb")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = joint.pmf.copy()
-    clipped = False
     for z in range(joint.n):
         block = table[:, :, z]
         mass = float(block.sum())
@@ -157,17 +154,9 @@ def perturb(
             continue
         i1, i2 = rng.choice(joint.l1, size=2, replace=False)
         j1, j2 = rng.choice(joint.l2, size=2, replace=False)
-        d_max = float(min(block[i1, j2], block[i2, j1]))
-        d_target = magnitude * mass / 4.0
-        d = min(d_target, d_max)
-        if d < d_target:
-            clipped = True
+        d = min(magnitude * mass / 4.0, float(min(block[i1, j2], block[i2, j1])))
         block[i1, j1] += d
         block[i2, j2] += d
         block[i1, j2] -= d
         block[i2, j1] -= d
-    meta = dict(joint.meta)
-    meta.update(
-        {"perturb_magnitude": magnitude, "perturb_seed": seed, "clipped": clipped}
-    )
-    return JointDistribution(joint.l1, joint.l2, joint.n, table, meta)
+    return JointDistribution(joint.l1, joint.l2, joint.n, table)

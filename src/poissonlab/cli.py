@@ -9,7 +9,7 @@ count, which never affects results) so runs can be replayed byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -36,6 +36,10 @@ EX_NUMERIC = 70
 # Most (n, eps) points a regime map evaluates: --n-range count times
 # --eps-range count.
 MAP_MAX_POINTS = 10**4
+
+# CSV columns of the certify records and of the simulate-d slices.
+CERTIFY_COLUMNS = ("lambda", "a", "b", "numerator", "denominator", "ratio")
+SLICE_COLUMNS = ("z", "lambda_z", "weight", "mean_z", "var_z")
 
 
 class UsageError(Exception):
@@ -73,9 +77,15 @@ def _payload(command: str, params: dict, body: dict) -> dict:
     }
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv" and csv_text is not None:
-        text = csv_text
+def _emit(args, payload: dict, columns=None, rows=None) -> None:
+    """Write the record: JSON, or with --format csv and a table, a header
+    of the columns and one line per row (repr for floats, str otherwise)."""
+    if args.format == "csv" and columns is not None:
+        lines = [columns] + [[row[c] for c in columns] for row in rows]
+        text = "".join(
+            ",".join(repr(v) if isinstance(v, float) else str(v) for v in line)
+            + "\n" for line in lines
+        )
     else:
         text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -109,6 +119,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _grid_from_args(args, kind: str) -> inequality_lab.GridSpec:
+    if kind == "claim21" and args.caps:
+        raise UsageError("claim21 takes no --caps: its caps are (inf, inf)")
     lambdas = None if args.lam is None else _parse_float_list(args.lam)
     pairs = None
     if args.caps:
@@ -143,12 +155,25 @@ def cmd_certify(args) -> int:
     # failed numerically leaves the claim uncertified.
     certified = bool(cert.records) and cert.errored == 0 and holds
 
-    body = dict(cert.to_json_dict(), certified=certified, **extra)
-    csv_buf = io.StringIO()
-    cert.write_csv(csv_buf)
+    # RatioRecord's fields, in order, are the columns.
+    records = [dict(zip(CERTIFY_COLUMNS, dataclasses.astuple(r)))
+               for r in cert.records]
+    body = {
+        "which": cert.which,
+        "tol": cert.tol,
+        "sup_ratio": cert.sup_ratio,
+        "inf_ratio": cert.inf_ratio,
+        "arg_sup": list(cert.arg_sup) if cert.arg_sup else None,
+        "arg_inf": list(cert.arg_inf) if cert.arg_inf else None,
+        "records": records,
+        "skipped": [dict(zip(("lambda", "a", "b", "reason"), s))
+                    for s in cert.skipped],
+        "certified": certified,
+        **extra,
+    }
     params = {"which": args.which, "tol": args.tol,
               "lambda": args.lam, "caps": args.caps}
-    _emit(args, _payload("certify", params, body), csv_buf.getvalue())
+    _emit(args, _payload("certify", params, body), CERTIFY_COLUMNS, records)
     if cert.errored:
         return EX_NUMERIC
     return EX_OK if certified else EX_PREDICATE
@@ -203,33 +228,22 @@ def cmd_simulate_d(args) -> int:
     body = {
         "exact": {"mean": exact.mean, "variance": exact.variance,
                   "tail_bound": exact.tail_bound},
-        "mc": {"replications": mc.replications, "mean_hat": mc.mean_hat,
-               "var_hat": mc.var_hat, "se_mean": mc.se_mean,
-               "se_var": mc.se_var},
+        "mc": dataclasses.asdict(mc),
         "ratio": ratio if ratio is not None else "skipped",
-        "chain": {
-            "var_total": chain.var_total,
-            "mean_total": chain.mean_total,
-            "mid_sum": chain.mid_sum,
-            "c1_observed": chain.c1_observed,
-            "first_step_ok": chain.first_step_ok,
-            "quarter_step_ok": chain.quarter_step_ok,
-        },
+        "chain": dataclasses.asdict(chain),
         "mc_within_4se": mc_ok,
     }
-    csv_buf = io.StringIO()
-    csv_buf.write("z,lambda_z,weight,mean_z,var_z\n")
     per_z = {z: (w * e, w * w * v) for z, w, e, v in exact.per_z}
-    for z in range(model.n):
-        mean_z, var_z = per_z.get(z, (0.0, 0.0))
-        csv_buf.write(
-            f"{z},{float(model.rates[z])!r},{float(model.weights[z])!r},"
-            f"{mean_z!r},{var_z!r}\n"
-        )
+    rows = [
+        dict(zip(SLICE_COLUMNS, (z, float(model.rates[z]),
+                                 float(model.weights[z]),
+                                 *per_z.get(z, (0.0, 0.0)))))
+        for z in range(model.n)
+    ]
     params = {"l1": args.l1, "l2": args.l2, "n": args.n, "m": args.m,
               "magnitude": args.magnitude, "seed": args.seed,
               "reps": args.reps, "tol": args.tol}
-    _emit(args, _payload("simulate-d", params, body), csv_buf.getvalue())
+    _emit(args, _payload("simulate-d", params, body), SLICE_COLUMNS, rows)
     return EX_OK if ok else EX_PREDICATE
 
 
@@ -267,18 +281,12 @@ def cmd_complexity(args) -> int:
             res = sample_complexity.evaluate(inputs, both_orders=args.both_orders)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        row = {"n": inputs.n, "l1": inputs.l1, "l2": inputs.l2,
-               "eps": inputs.eps}
-        row.update(res.terms)
-        row.update({"value": res.value, "active_term": res.active_term,
-                    "dominant_regime": res.dominant_regime})
-        rows = [row]
-    csv_buf = io.StringIO()
-    sample_complexity.write_regime_csv(rows, csv_buf)
+        rows = [sample_complexity.row(inputs, res)]
     params = {"n": args.n, "l1": args.l1, "l2": args.l2, "eps": args.eps,
               "map": args.map, "n_range": args.n_range,
               "eps_range": args.eps_range, "both_orders": args.both_orders}
-    _emit(args, _payload("complexity", params, {"rows": rows}), csv_buf.getvalue())
+    _emit(args, _payload("complexity", params, {"rows": rows}),
+          sample_complexity.COLUMNS, rows)
     return EX_OK
 
 
@@ -334,17 +342,20 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=_nonnegative_int, default=1)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+
+    # Only the commands that read them take --seed and --tol.
+    seed = {"type": _nonnegative_int, "default": 1}
+    tol = {"type": _positive_float, "default": DEFAULT_TOL}
 
     p = sub.add_parser("certify", help="sweep a ratio grid and certify it")
     p.add_argument("which", choices=("lemma1", "claim21", "claim23"))
     p.add_argument("--lambda", dest="lam", default=None,
                    help="comma-separated rate list overriding the default grid")
     p.add_argument("--caps", action="append", default=None,
-                   help="cap pair 'a,b'; repeatable")
+                   help="cap pair 'a,b'; repeatable (not for claim21)")
+    p.add_argument("--tol", **tol)
     common(p)
     p.set_defaults(func=cmd_certify)
 
@@ -360,6 +371,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_positive_float, default=1000.0)
     p.add_argument("--magnitude", type=float, default=0.5)
     p.add_argument("--reps", type=int, default=10**5)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--tol", **tol)
     common(p)
     p.set_defaults(func=cmd_simulate_d)
 
@@ -384,6 +397,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle-check",
                        help="dual-route and Monte Carlo checks on pinned points")
     p.add_argument("--draws", type=int, default=10**6)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--tol", **tol)
     common(p)
     p.set_defaults(func=cmd_oracle_check)
     return parser

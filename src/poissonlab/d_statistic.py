@@ -67,7 +67,6 @@ class MCResult:
     var_hat: float
     se_mean: float
     se_var: float
-    seed: int
 
 
 def _slice_rng(seed: int, z: int) -> np.random.Generator:
@@ -129,7 +128,7 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult
     m4 = float(np.mean((totals - mean_hat) ** 4))
     r = replications
     se_var = math.sqrt(max(m4 - (r - 3.0) / (r - 1.0) * var_hat**2, 0.0) / r)
-    return MCResult(replications, mean_hat, var_hat, se_mean, se_var, seed)
+    return MCResult(replications, mean_hat, var_hat, se_mean, se_var)
 
 
 def variance_mean_ratio(model: DStatisticModel, tol: float = DEFAULT_TOL) -> float:

@@ -73,39 +73,6 @@ class RatioCertificate:
     arg_sup: tuple = None
     arg_inf: tuple = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "tol": self.tol,
-            "sup_ratio": self.sup_ratio,
-            "inf_ratio": self.inf_ratio,
-            "arg_sup": list(self.arg_sup) if self.arg_sup else None,
-            "arg_inf": list(self.arg_inf) if self.arg_inf else None,
-            "records": [
-                {
-                    "lambda": r.lam,
-                    "a": r.cap_a,
-                    "b": r.cap_b,
-                    "numerator": r.numerator,
-                    "denominator": r.denominator,
-                    "ratio": r.ratio,
-                }
-                for r in self.records
-            ],
-            "skipped": [
-                {"lambda": lam, "a": a, "b": b, "reason": reason}
-                for (lam, a, b, reason) in self.skipped
-            ],
-        }
-
-    def write_csv(self, stream) -> None:
-        stream.write("lambda,a,b,numerator,denominator,ratio\n")
-        for r in self.records:
-            stream.write(
-                f"{r.lam!r},{r.cap_a!r},{r.cap_b!r},"
-                f"{r.numerator!r},{r.denominator!r},{r.ratio!r}\n"
-            )
-
 
 def correction_factor(a: float, b: float) -> float:
     """max{ab, sqrt(a)*b, sqrt(ab)} evaluated with canonical a <= b order."""

@@ -119,7 +119,6 @@ class MonteCarloMoments:
     mean: float
     variance: float
     draws: int
-    seed: int
 
 
 def log_pmf(lam: float, x: int) -> float:
@@ -279,7 +278,7 @@ def _certified_window(f, tol, floor, max_power, max_terms):
             hi += max(16, math.ceil(hi - lam))
 
 
-def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
+def _certified_sums(f, tol, max_power=2):
     """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
 
     Returns (sums, trunc_tails, terms_used) over the window of
@@ -292,7 +291,7 @@ def _certified_sums(f, tol, max_power=2, max_terms=MAX_TERMS):
     if f.lam == 0.0 or f.cap_a == 0.0:
         return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
     _, _, body, terms, trunc, _, _ = _certified_window(
-        f, tol, f.threshold, max_power, max_terms
+        f, tol, f.threshold, max_power, MAX_TERMS
     )
     sums = {k: math.fsum(terms[k][body]) for k in powers}
     return sums, trunc, body.stop - body.start
@@ -451,7 +450,7 @@ def monte_carlo_moments(
     vals = functional_value(seen, f)
     mean = math.fsum(counts * vals) / draws
     var = math.fsum(counts * (vals - mean) ** 2) / (draws - 1)
-    return MonteCarloMoments(mean, var, draws, seed)
+    return MonteCarloMoments(mean, var, draws)
 
 
 # Pinned dual-route check points (lam, cap_a, cap_b), spanning rates from

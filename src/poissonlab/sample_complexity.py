@@ -26,6 +26,9 @@ _EXPONENTS = {
 }
 
 TERM_NAMES = tuple(_EXPONENTS)
+# Keys of a result row, in CSV order.
+COLUMNS = ("n", "l1", "l2", "eps", *TERM_NAMES, "value", "active_term",
+           "dominant_regime")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -100,31 +103,23 @@ def evaluate(inputs: ComplexityInputs, both_orders: bool = False) -> ComplexityR
     return result
 
 
+def row(inputs: ComplexityInputs, res: ComplexityResult) -> dict:
+    """One result row, keyed by COLUMNS."""
+    return dict(zip(COLUMNS, (
+        inputs.n, inputs.l1, inputs.l2, inputs.eps,
+        *(res.terms[name] for name in TERM_NAMES),
+        res.value, res.active_term, res.dominant_regime,
+    )))
+
+
 def regime_map(n_values, l1: int, l2: int, eps_values) -> list:
     """Dominant-regime table over a grid of (n, eps); rows sorted by (n, eps)."""
     rows = []
     for n in sorted(int(v) for v in n_values):
         for eps in sorted(float(v) for v in eps_values):
-            res = evaluate(ComplexityInputs(n, l1, l2, eps))
-            row = {"n": n, "l1": min(l1, l2), "l2": max(l1, l2), "eps": eps}
-            row.update({name: res.terms[name] for name in TERM_NAMES})
-            row["value"] = res.value
-            row["active_term"] = res.active_term
-            row["dominant_regime"] = res.dominant_regime
-            rows.append(row)
+            inputs = ComplexityInputs(n, l1, l2, eps)
+            rows.append(row(inputs, evaluate(inputs)))
     return rows
-
-
-def write_regime_csv(rows, stream) -> None:
-    cols = ["n", "l1", "l2", "eps", *TERM_NAMES, "value", "active_term",
-            "dominant_regime"]
-    stream.write(",".join(cols) + "\n")
-    for row in rows:
-        rendered = []
-        for col in cols:
-            v = row[col]
-            rendered.append(repr(v) if isinstance(v, float) else str(v))
-        stream.write(",".join(rendered) + "\n")
 
 
 def log_spaced(lo: float, hi: float, count: int) -> np.ndarray:

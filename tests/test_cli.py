@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import poissonlab
 from poissonlab import poisson_core
 from poissonlab.ci_model import build_model, generate_null, perturb
-from poissonlab.cli import EX_NUMERIC, EX_OK, EX_PREDICATE, EX_USAGE, main
+from poissonlab.cli import (
+    EX_NUMERIC, EX_OK, EX_PREDICATE, EX_USAGE, UsageError, build_parser, main,
+)
 
 
 def run(capsys, *argv):
@@ -61,6 +64,10 @@ class TestExitCodes:
     def test_certify_usage(self, capsys):
         assert run(capsys, "certify", "nonsense")[0] == EX_USAGE
         assert run(capsys, "certify", "lemma1", "--caps", "2")[0] == EX_USAGE
+
+    def test_claim21_rejects_caps(self, capsys):
+        # claim21's caps are fixed at (inf, inf); given pairs would go unused
+        assert run(capsys, "certify", "claim21", "--caps", "2,4") == (EX_USAGE, "")
 
     def test_complexity_usage(self, capsys):
         assert run(capsys, "complexity", "--eps", "0")[0] == EX_USAGE
@@ -232,16 +239,93 @@ class TestNoVacuousCertificate:
          "1e-300"],
         ["complexity", "--map", "--n-range", "1e3,1e3,1", "--eps-range",
          "1e-300,1e-300,1"],
+        ["h", "--seed", "3"],
+        ["falsify", "--target", "2", "--tol", "1e-3"],
+        ["complexity", "--eps", "0.5", "--seed", "2"],
     ],
     ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
          "m-nan", "m-inf", "target-nan", "lambda-max-nan", "map-n-inf",
          "map-count-huge", "seed-negative", "eps-overflow",
-         "map-eps-overflow"],
+         "map-eps-overflow", "h-seed", "falsify-tol", "complexity-seed"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == EX_USAGE
     assert out == ""
+
+
+# One small run per subcommand.
+SMALL_RUNS = {
+    "certify": ["certify", "lemma1", "--lambda", "1", "--caps", "2,2"],
+    "falsify": ["falsify", "--target", "2"],
+    "simulate-d": ["simulate-d", "--n", "2", "--reps", "2", "--l1", "2",
+                   "--l2", "2", "--m", "2"],
+    "complexity": ["complexity", "--eps", "0.5"],
+    "h": ["h", "--grid-points", "2", "--lambda-max", "2"],
+    "oracle-check": ["oracle-check", "--draws", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS.values(), ids=SMALL_RUNS)
+def test_config_holds_every_parsed_flag(capsys, argv):
+    # The record embeds its full run configuration: every flag the command
+    # parses, apart from where the record goes and the ignored thread count.
+    args = vars(build_parser().parse_args(argv))
+    dests = set(args) - {"command", "func", "out", "format", "threads"}
+    _, doc = run_json(capsys, *argv)
+    assert set(doc["config"]) == {"lambda" if d == "lam" else d for d in dests}
+
+
+def test_seed_and_tol_only_where_read():
+    parser = build_parser()
+
+    def takers(*extra):
+        names = set()
+        for name, argv in SMALL_RUNS.items():
+            with contextlib.suppress(UsageError):
+                parser.parse_args([*argv, *extra])
+                names.add(name)
+        return names
+
+    assert takers() == set(SMALL_RUNS)
+    assert takers("--seed", "1") == {"simulate-d", "oracle-check"}
+    assert takers("--tol", "1e-3") == {"certify", "simulate-d", "oracle-check"}
+
+
+class TestCsvMatchesJson:
+    """The CSV table of a run holds the same rows as its JSON record."""
+
+    @staticmethod
+    def both(capsys, *argv):
+        _, doc = run_json(capsys, *argv)
+        _, text = run(capsys, *argv, "--format", "csv")
+        header, *lines = text.splitlines()
+        return doc["result"], [dict(zip(header.split(","), line.split(",")))
+                               for line in lines]
+
+    def test_certify(self, capsys):
+        res, rows = self.both(capsys, "certify", "lemma1", "--lambda",
+                              "1,10,100", "--caps", "2,2", "--caps", "4,16")
+        assert len(rows) == len(res["records"]) == 6
+        for row, record in zip(rows, res["records"]):
+            assert {k: float(v) for k, v in row.items()} == record
+
+    def test_complexity_map(self, capsys):
+        res, rows = self.both(capsys, "complexity", "--map", "--l1", "4",
+                              "--l2", "8", "--n-range", "100,1e9,8",
+                              "--eps-range", "0.01,0.5,4")
+        assert len(rows) == len(res["rows"]) == 32
+        for row, record in zip(rows, res["rows"]):
+            assert row.keys() == record.keys()
+            assert {k: type(record[k])(v) for k, v in row.items()} == record
+
+    def test_simulate_d_slices_sum_to_exact(self, capsys):
+        res, rows = self.both(capsys, "simulate-d", "--seed", "1",
+                              "--reps", "20000")
+        assert len(rows) == 50
+        assert math.fsum(float(r["mean_z"]) for r in rows) == res["exact"]["mean"]
+        assert (math.fsum(float(r["var_z"]) for r in rows)
+                == res["exact"]["variance"])
 
 
 class TestOneSummationPass:
@@ -322,18 +406,18 @@ LIST_FLAGS = ("--lambda", "--caps", "--n-range", "--eps-range")
 # valid run. The size flags in ALWAYS are always given, so runs stay small.
 SUBCOMMANDS = {
     "certify": (("lemma1", "claim21", "claim23"),
-                {"--lambda": "2", "--caps": "2,4"}),
+                {"--lambda": "2", "--caps": "2,4", "--tol": "0.5"}),
     "falsify": ((), {"--target": "2"}),
     "simulate-d": ((), {"--n": "2", "--reps": "2", "--l1": "2", "--l2": "2",
-                        "--m": "2", "--magnitude": "0.5"}),
+                        "--m": "2", "--magnitude": "0.5", "--seed": "2",
+                        "--tol": "0.5"}),
     "complexity": ((), {"--n": "2", "--l1": "2", "--l2": "2", "--eps": "0.5",
                         "--map": None, "--both-orders": None,
                         "--n-range": "2,4,2", "--eps-range": "0.5,1,2"}),
     "h": ((), {"--grid-points": "2", "--lambda-max": "2"}),
-    "oracle-check": ((), {"--draws": "2"}),
+    "oracle-check": ((), {"--draws": "2", "--seed": "2", "--tol": "0.5"}),
 }
-COMMON_FLAGS = {"--seed": "2", "--threads": "2", "--tol": "0.5",
-                "--format": "json"}
+COMMON_FLAGS = {"--threads": "2", "--format": "json"}
 ALWAYS = ("--lambda", "--target", "--n", "--reps", "--grid-points", "--draws")
 
 

@@ -154,7 +154,7 @@ class TestSweep:
         g = default_grid("lemma1")
         c1 = sweep(g, "corrected", threads=1)
         c8 = sweep(g, "corrected", threads=8)
-        assert c1.to_json_dict() == c8.to_json_dict()
+        assert c1 == c8
 
     def test_zero_cap_points_skipped(self):
         g = GridSpec(lambda_points=(1.0,), cap_pairs=((0.0, 1.0), (1.0, 1.0)))

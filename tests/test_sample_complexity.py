@@ -1,17 +1,17 @@
 """Power-law max-min bound: exponent signatures, monotonicity, regime map."""
 
-import io
 import math
 
 import pytest
 
+from poissonlab.cli import EX_OK, main
 from poissonlab.sample_complexity import (
+    COLUMNS,
     ComplexityInputs,
     TERM_NAMES,
     evaluate,
     log_spaced,
     regime_map,
-    write_regime_csv,
 )
 
 # per-term exponents of (n, l1, l2, 1/eps), duplicated here on purpose so a
@@ -122,11 +122,15 @@ class TestRegimeMap:
         for row in rows:
             assert set(TERM_NAMES) <= set(row)
 
-    def test_csv_render(self):
-        buf = io.StringIO()
-        write_regime_csv(regime_map([100], 4, 4, [0.01]), buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv_render(self, capsys):
+        # the map's n and eps come from numpy; the CSV holds plain numbers
+        code = main(["complexity", "--map", "--l1", "4", "--l2", "4",
+                     "--n-range", "100,100,1", "--eps-range", "0.01,0.01,1",
+                     "--format", "csv"])
+        assert code == EX_OK
+        lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+        assert lines[0] == ",".join(COLUMNS)
         assert lines[0].startswith("n,l1,l2,eps,")
         assert "np.float64" not in lines[1]
 
