@@ -82,7 +82,6 @@ class DStatisticModel:
     weights: np.ndarray
     cap_a: int
     cap_b: int
-    threshold: int = 4
 
     def __post_init__(self):
         rates = np.asarray(self.rates, dtype=np.float64)

@@ -36,6 +36,9 @@ EX_NUMERIC = 70
 # Most (n, eps) points a regime map evaluates: --n-range count times
 # --eps-range count.
 MAP_MAX_POINTS = 10**4
+# Largest size flag (--reps, --draws, --grid-points, simulate-d's --n, --l1,
+# --l2) and simulate-d l1*l2*n table, checked before anything is allocated.
+MAX_SIZE = 10**7
 
 # CSV columns of the certify records and of the simulate-d slices.
 CERTIFY_COLUMNS = ("lambda", "a", "b", "numerator", "denominator", "ratio")
@@ -67,19 +70,11 @@ def _jsonable(obj):
     return obj
 
 
-def _payload(command: str, params: dict, body: dict) -> dict:
-    return {
-        "tool": "poissonlab",
-        "version": __version__,
-        "command": command,
-        "config": params,
-        "result": body,
-    }
-
-
-def _emit(args, payload: dict, columns=None, rows=None) -> None:
+def _emit(args, body: dict, columns=None, rows=None) -> None:
     """Write the record: JSON, or with --format csv and a table, a header
-    of the columns and one line per row (repr for floats, str otherwise)."""
+    of the columns and one line per row (repr for floats, str otherwise).
+    The JSON config is every parsed value but the subcommand, its handler,
+    where the record goes and the ignored thread count."""
     if args.format == "csv" and columns is not None:
         lines = [columns] + [[row[c] for c in columns] for row in rows]
         text = "".join(
@@ -87,6 +82,11 @@ def _emit(args, payload: dict, columns=None, rows=None) -> None:
             + "\n" for line in lines
         )
     else:
+        config = {("lambda" if k == "lam" else k): v
+                  for k, v in vars(args).items()
+                  if k not in ("command", "func", "out", "format", "threads")}
+        payload = {"tool": "poissonlab", "version": __version__,
+                   "command": args.command, "config": config, "result": body}
         text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -111,11 +111,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _bounded_int(lo: int, hi: float = MAX_SIZE):
+    """argparse type: an integer in [lo, hi]."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"must lie in [{lo}, {hi}], got {text!r}")
+        return value
+    return integer
+
+
+def _range(text: str) -> tuple:
+    """(lo, hi, count) of a 'lo,hi,count' range; count is an integer >= 1."""
+    values = _parse_float_list(text)
+    if len(values) != 3 or not (values[2] >= 1.0 and values[2].is_integer()):
+        raise ValueError(
+            f"expected 'lo,hi,count' with an integer count >= 1, got {text!r}")
+    return values[0], values[1], int(values[2])
 
 
 def _grid_from_args(args, kind: str) -> inequality_lab.GridSpec:
@@ -137,8 +150,7 @@ def _grid_from_args(args, kind: str) -> inequality_lab.GridSpec:
 
 
 def cmd_certify(args) -> int:
-    which_map = {"lemma1": "corrected", "claim21": "claim21", "claim23": "claim23"}
-    kind = which_map[args.which]
+    kind = "corrected" if args.which == "lemma1" else args.which
     grid = _grid_from_args(args, kind)
     cert = inequality_lab.sweep(grid, kind)
 
@@ -171,9 +183,7 @@ def cmd_certify(args) -> int:
         "certified": certified,
         **extra,
     }
-    params = {"which": args.which, "tol": args.tol,
-              "lambda": args.lam, "caps": args.caps}
-    _emit(args, _payload("certify", params, body), CERTIFY_COLUMNS, records)
+    _emit(args, body, CERTIFY_COLUMNS, records)
     if cert.errored:
         return EX_NUMERIC
     return EX_OK if certified else EX_PREDICATE
@@ -192,15 +202,13 @@ def cmd_falsify(args) -> int:
             for (k, lam, ratio) in search.trail
         ],
     }
-    _emit(args, _payload("falsify", {"target": args.target}, body))
+    _emit(args, body)
     return EX_OK if search.found else EX_PREDICATE
 
 
 def cmd_simulate_d(args) -> int:
-    if args.reps < 2:
-        raise UsageError("--reps must be at least 2")
-    if args.l1 < 2 or args.l2 < 2 or args.n < 1:
-        raise UsageError("need l1, l2 >= 2 and n >= 1")
+    if args.l1 * args.l2 * args.n > MAX_SIZE:
+        raise UsageError(f"the l1*l2*n table exceeds {MAX_SIZE} entries")
     if not (0.0 <= args.magnitude <= 1.0):
         raise UsageError("--magnitude must lie in [0, 1]")
 
@@ -240,72 +248,46 @@ def cmd_simulate_d(args) -> int:
                                  *per_z.get(z, (0.0, 0.0)))))
         for z in range(model.n)
     ]
-    params = {"l1": args.l1, "l2": args.l2, "n": args.n, "m": args.m,
-              "magnitude": args.magnitude, "seed": args.seed,
-              "reps": args.reps, "tol": args.tol}
-    _emit(args, _payload("simulate-d", params, body), SLICE_COLUMNS, rows)
+    _emit(args, body, SLICE_COLUMNS, rows)
     return EX_OK if ok else EX_PREDICATE
 
 
 def cmd_complexity(args) -> int:
-    if args.map:
-        if args.eps is not None and not (0.0 < args.eps <= 1.0):
-            raise UsageError("--eps must lie in (0, 1]")
-        if args.n_range is None or args.eps_range is None:
-            raise UsageError("--map needs --n-range and --eps-range")
-        try:
-            n_lo, n_hi, n_count = _parse_float_list(args.n_range)
-            e_lo, e_hi, e_count = _parse_float_list(args.eps_range)
-            if not 1 <= n_count * e_count <= MAP_MAX_POINTS:
+    """One evaluation path: a single point is the 1x1 regime map."""
+    try:
+        if not args.map:
+            if args.eps is None:
+                raise ValueError("--eps is required")
+            n_values, eps_values = [args.n], [args.eps]
+        elif args.n_range is None or args.eps_range is None:
+            raise ValueError("--map needs --n-range and --eps-range")
+        else:
+            n_range, eps_range = _range(args.n_range), _range(args.eps_range)
+            if n_range[2] * eps_range[2] > MAP_MAX_POINTS:
                 raise ValueError(
-                    f"the map takes 1 to {MAP_MAX_POINTS} (n, eps) points")
-            n_values = sample_complexity.log_spaced(n_lo, n_hi, int(n_count))
-            eps_values = sample_complexity.log_spaced(e_lo, e_hi, int(e_count))
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad range: {exc}") from exc
-        if max(eps_values) > 1.0 or min(eps_values) <= 0.0:
-            raise UsageError("eps range must lie in (0, 1]")
-        try:
-            rows = sample_complexity.regime_map(
-                n_values, args.l1, args.l2, eps_values
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        if args.eps is None:
-            raise UsageError("--eps is required")
-        try:
-            inputs = sample_complexity.ComplexityInputs(
-                args.n, args.l1, args.l2, args.eps
-            )
-            res = sample_complexity.evaluate(inputs, both_orders=args.both_orders)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        rows = [sample_complexity.row(inputs, res)]
-    params = {"n": args.n, "l1": args.l1, "l2": args.l2, "eps": args.eps,
-              "map": args.map, "n_range": args.n_range,
-              "eps_range": args.eps_range, "both_orders": args.both_orders}
-    _emit(args, _payload("complexity", params, {"rows": rows}),
-          sample_complexity.COLUMNS, rows)
+                    f"the map takes at most {MAP_MAX_POINTS} (n, eps) points")
+            n_values = sample_complexity.log_spaced(*n_range)
+            eps_values = sample_complexity.log_spaced(*eps_range)
+        rows = sample_complexity.regime_map(
+            n_values, args.l1, args.l2, eps_values, args.both_orders)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _emit(args, {"rows": rows}, sample_complexity.COLUMNS, rows)
     return EX_OK
 
 
 def cmd_h(args) -> int:
-    if not 1.0 <= args.lambda_max < math.inf or args.grid_points < 2:
-        raise UsageError(
-            "need a finite --lambda-max >= 1 and --grid-points >= 2")
+    if not 1.0 <= args.lambda_max < math.inf:
+        raise UsageError("need a finite --lambda-max >= 1")
     res = inequality_lab.h_infimum(args.lambda_max, args.grid_points)
     in_band = 0.0109 <= res.value <= 0.0129
     body = {"infimum": res.value, "arg_lambda": res.arg,
             "tail_certified": res.tail_certified, "in_band": in_band}
-    params = {"lambda_max": args.lambda_max, "grid_points": args.grid_points}
-    _emit(args, _payload("h", params, body))
+    _emit(args, body)
     return EX_OK if in_band else EX_PREDICATE
 
 
 def cmd_oracle_check(args) -> int:
-    if args.draws < 2:
-        raise UsageError("--draws must be at least 2")
     points = []
     all_ok = True
     for idx, (lam, a, b) in enumerate(ORACLE_POINTS):
@@ -328,9 +310,7 @@ def cmd_oracle_check(args) -> int:
             "triangle_ok": triangle_ok, "mc_mean_ok": mean_ok,
             "mc_var_ok": var_ok,
         })
-    params = {"draws": args.draws, "seed": args.seed, "tol": args.tol}
-    _emit(args, _payload("oracle-check", params,
-                         {"points": points, "all_ok": all_ok}))
+    _emit(args, {"points": points, "all_ok": all_ok})
     return EX_OK if all_ok else EX_PREDICATE
 
 
@@ -346,7 +326,7 @@ def build_parser() -> _Parser:
                        help="accepted for compatibility; has no effect")
 
     # Only the commands that read them take --seed and --tol.
-    seed = {"type": _nonnegative_int, "default": 1}
+    seed = {"type": _bounded_int(0, math.inf), "default": 1}
     tol = {"type": _positive_float, "default": DEFAULT_TOL}
 
     p = sub.add_parser("certify", help="sweep a ratio grid and certify it")
@@ -365,12 +345,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("simulate-d", help="exact vs Monte Carlo statistic moments")
-    p.add_argument("--l1", type=int, default=4)
-    p.add_argument("--l2", type=int, default=4)
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--l1", type=_bounded_int(2), default=4)
+    p.add_argument("--l2", type=_bounded_int(2), default=4)
+    p.add_argument("--n", type=_bounded_int(1), default=50)
     p.add_argument("--m", type=_positive_float, default=1000.0)
     p.add_argument("--magnitude", type=float, default=0.5)
-    p.add_argument("--reps", type=int, default=10**5)
+    p.add_argument("--reps", type=_bounded_int(2), default=10**5)
     p.add_argument("--seed", **seed)
     p.add_argument("--tol", **tol)
     common(p)
@@ -390,13 +370,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("h", help="infimum of the closed-form comparison function")
     p.add_argument("--lambda-max", type=float, default=60.0)
-    p.add_argument("--grid-points", type=int, default=10**4)
+    p.add_argument("--grid-points", type=_bounded_int(2), default=10**4)
     common(p)
     p.set_defaults(func=cmd_h)
 
     p = sub.add_parser("oracle-check",
                        help="dual-route and Monte Carlo checks on pinned points")
-    p.add_argument("--draws", type=int, default=10**6)
+    p.add_argument("--draws", type=_bounded_int(2), default=10**6)
     p.add_argument("--seed", **seed)
     p.add_argument("--tol", **tol)
     common(p)

@@ -85,8 +85,7 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
         rate = float(model.rates[z])
         if w == 0.0 or rate == 0.0:
             continue
-        f = CappedFunctional(rate, float(model.cap_a), float(model.cap_b),
-                             model.threshold)
+        f = CappedFunctional(rate, float(model.cap_a), float(model.cap_b))
         m = moments(f, tol, 2)
         tail += w * m.mean.tail_bound + w * w * m.variance.tail_bound
         per_z.append((z, w, m.mean.value, m.variance.value))
@@ -105,7 +104,7 @@ def _contribution(sigma, model: DStatisticModel, w: float):
         w
         * s
         * np.sqrt(np.minimum(s, model.cap_a) * np.minimum(s, model.cap_b))
-        * (s >= model.threshold)
+        * (s >= CappedFunctional.threshold)
     )
 
 

@@ -329,16 +329,10 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
                 cert.records.append(RatioRecord(lam, a, b, num, den, ratio))
 
     if cert.records:
-        sup = max(r.ratio for r in cert.records)
-        inf = min(r.ratio for r in cert.records)
-        cert.sup_ratio = sup
-        cert.inf_ratio = inf
-        cert.arg_sup = min(
-            (r for r in cert.records if r.ratio == sup), key=RatioRecord.key
-        ).key()
-        cert.arg_inf = min(
-            (r for r in cert.records if r.ratio == inf), key=RatioRecord.key
-        ).key()
+        sup = min(cert.records, key=lambda r: (-r.ratio, r.key()))
+        inf = min(cert.records, key=lambda r: (r.ratio, r.key()))
+        cert.sup_ratio, cert.arg_sup = sup.ratio, sup.key()
+        cert.inf_ratio, cert.arg_inf = inf.ratio, inf.key()
     return cert
 
 

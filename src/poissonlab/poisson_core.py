@@ -69,15 +69,13 @@ class CappedFunctional:
     lam: float
     cap_a: float
     cap_b: float
-    threshold: int = 4
+    threshold = 4  # t, not a field: the same for every functional
 
     def __post_init__(self):
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"rate must be finite and >= 0, got {self.lam}")
         if not (self.cap_a >= 0.0 and self.cap_b >= 0.0):
             raise ValueError("caps must be >= 0")
-        if not (isinstance(self.threshold, int) and self.threshold >= 0):
-            raise ValueError("threshold must be a nonnegative integer")
         if self.cap_a > self.cap_b:
             a, b = self.cap_b, self.cap_a
             object.__setattr__(self, "cap_a", a)

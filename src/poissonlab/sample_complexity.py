@@ -80,10 +80,7 @@ def _evaluate_raw(n, l1, l2, eps) -> ComplexityResult:
         (lt["T3"], "T3", "T3"),
         (lt["T4"], "T4", "T4"),
     )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] > best[0]:
-            best = cand
+    best = max(candidates, key=lambda c: c[0])  # the first of equal values
     terms = {name: math.exp(v) for name, v in lt.items()}
     return ComplexityResult(math.exp(best[0]), terms, best[2], best[1])
 
@@ -112,13 +109,15 @@ def row(inputs: ComplexityInputs, res: ComplexityResult) -> dict:
     )))
 
 
-def regime_map(n_values, l1: int, l2: int, eps_values) -> list:
-    """Dominant-regime table over a grid of (n, eps); rows sorted by (n, eps)."""
+def regime_map(n_values, l1: int, l2: int, eps_values,
+               both_orders: bool = False) -> list:
+    """Dominant-regime table over a grid of (n, eps); rows sorted by (n, eps)
+    and each point evaluated as evaluate(inputs, both_orders)."""
     rows = []
     for n in sorted(int(v) for v in n_values):
         for eps in sorted(float(v) for v in eps_values):
             inputs = ComplexityInputs(n, l1, l2, eps)
-            rows.append(row(inputs, evaluate(inputs)))
+            rows.append(row(inputs, evaluate(inputs, both_orders)))
     return rows
 
 

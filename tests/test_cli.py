@@ -242,16 +242,48 @@ class TestNoVacuousCertificate:
         ["h", "--seed", "3"],
         ["falsify", "--target", "2", "--tol", "1e-3"],
         ["complexity", "--eps", "0.5", "--seed", "2"],
+        ["complexity", "--map", "--n-range", "1e2,1e9,2.5", "--eps-range",
+         "0.01,0.5,4"],
+        ["complexity", "--map", "--n-range", "1e2,1e9,8", "--eps-range",
+         "0.01,0.5,0"],
     ],
     ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
          "m-nan", "m-inf", "target-nan", "lambda-max-nan", "map-n-inf",
          "map-count-huge", "seed-negative", "eps-overflow",
-         "map-eps-overflow", "h-seed", "falsify-tol", "complexity-seed"],
+         "map-eps-overflow", "h-seed", "falsify-tol", "complexity-seed",
+         "map-count-fraction", "map-count-zero"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == EX_USAGE
     assert out == ""
+
+
+HUGE = "1000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-d", "--reps", HUGE],
+        ["simulate-d", "--n", HUGE],
+        ["simulate-d", "--l1", HUGE],
+        ["simulate-d", "--l2", HUGE],
+        ["simulate-d", "--l1", "10000", "--l2", "10000", "--n", "1000"],
+        ["h", "--grid-points", HUGE],
+        ["oracle-check", "--draws", HUGE],
+    ],
+    ids=["reps", "n", "l1", "l2", "table", "grid-points", "draws"],
+)
+def test_huge_size_refused(tmp_path, argv):
+    # Each count is refused before anything of its size is allocated.
+    out = tmp_path / "record"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    assert code == EX_USAGE
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
 
 
 # One small run per subcommand.
@@ -398,7 +430,8 @@ def test_huge_rate_fails_at_once(tmp_path, capsys, argv):
 
 # 0.5 is the one value that --eps, --eps-range and --magnitude accept
 # besides 0, so a drawn complexity run can get past its parsing.
-POOL = ("-1", "0", "0.5", "2", "nan", "inf", "1e300", "1e400", "abc", "")
+POOL = ("-1", "0", "0.5", "2", "nan", "inf", "1e300", "1e400", "abc", "",
+        HUGE)
 LIST_FLAGS = ("--lambda", "--caps", "--n-range", "--eps-range")
 # subcommand -> (positional choices, {flag: small valid value or None for a
 # switch}). A drawn command line gives some of these flags and puts pool

@@ -1,5 +1,6 @@
 """Power-law max-min bound: exponent signatures, monotonicity, regime map."""
 
+import json
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from poissonlab.sample_complexity import (
     evaluate,
     log_spaced,
     regime_map,
+    row,
 )
 
 # per-term exponents of (n, l1, l2, 1/eps), duplicated here on purpose so a
@@ -133,6 +135,20 @@ class TestRegimeMap:
         assert lines[0] == ",".join(COLUMNS)
         assert lines[0].startswith("n,l1,l2,eps,")
         assert "np.float64" not in lines[1]
+
+    def test_map_honours_both_orders(self, capsys):
+        code = main(["complexity", "--map", "--l1", "2", "--l2", "3",
+                     "--n-range", "1e2,1e9,8", "--eps-range", "0.01,0.5,4",
+                     "--both-orders"])
+        assert code == EX_OK
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert len(rows) == 32
+        moved = 0
+        for got in rows:
+            inputs = ComplexityInputs(got["n"], 2, 3, got["eps"])
+            assert got == row(inputs, evaluate(inputs, both_orders=True))
+            moved += got != row(inputs, evaluate(inputs))
+        assert moved  # n = 1e8, eps = 0.5 takes the swapped order
 
 
 def test_log_spaced():

@@ -23,8 +23,9 @@ from pathlib import Path
 # The arguments of the slices-small-lambda benchmark workload.
 SIMULATE_D = ["simulate-d", "--l1", "4", "--l2", "8", "--n", "5000",
               "--m", "100000.0", "--reps", "1000"]
-MAP = ["complexity", "--map", "--n-range", "100.0,1000000000.0,8",
-       "--eps-range", "0.01,0.5,4", "--l1", "4", "--l2", "8"]
+MAP_RANGES = ["complexity", "--map", "--n-range", "100.0,1000000000.0,8",
+              "--eps-range", "0.01,0.5,4"]
+MAP = [*MAP_RANGES, "--l1", "4", "--l2", "8"]
 SMALL_GRID = ["certify", "lemma1", "--lambda", "1,10,100",
               "--caps", "2,2", "--caps", "4,16"]
 POINT = ["complexity", "--n", "1000000", "--l1", "8", "--l2", "4",
@@ -52,6 +53,8 @@ RECORDS = {
     "h": ["h"],
     "complexity map bench": MAP,
     "complexity map bench csv": [*MAP, *CSV],
+    "complexity map l1 2 l2 3 both-orders": [*MAP_RANGES, "--l1", "2",
+                                             "--l2", "3", "--both-orders"],
     "complexity point": POINT,
     "complexity point both-orders csv": [*POINT, "--both-orders", *CSV],
     "oracle-check seed 1": ["oracle-check", "--seed", "1"],
