@@ -19,7 +19,7 @@ from .poisson_core import (
     DEFAULT_TOL,
     DENOMINATOR_FLOOR,
     CappedFunctional,
-    moments,
+    moments_many,
 )
 from .inequality_lab import SkippedPoint
 
@@ -77,16 +77,16 @@ def _slice_rng(seed: int, z: int) -> np.random.Generator:
 
 def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
     """Per-slice capped-functional moments scaled by the slice weights,
-    one summation pass per slice."""
+    from one batched summation pass over all slices."""
+    cap_a, cap_b = float(model.cap_a), float(model.cap_b)
+    zs = np.flatnonzero((model.weights != 0.0) & (model.rates != 0.0)).tolist()
+    fs = [CappedFunctional(float(model.rates[z]), cap_a, cap_b) for z in zs]
     per_z = []
     tail = 0.0
-    for z in range(model.n):
+    for z, m in zip(zs, moments_many(fs, tol, 2)):
+        if isinstance(m, ArithmeticError):
+            raise m
         w = float(model.weights[z])
-        rate = float(model.rates[z])
-        if w == 0.0 or rate == 0.0:
-            continue
-        f = CappedFunctional(rate, float(model.cap_a), float(model.cap_b))
-        m = moments(f, tol, 2)
         tail += w * m.mean.tail_bound + w * w * m.variance.tail_bound
         per_z.append((z, w, m.mean.value, m.variance.value))
     return DMoments(

@@ -10,6 +10,7 @@ the small-count tail argument.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .poisson_core import (
     DENOMINATOR_FLOOR,
     CappedFunctional,
     TruncationError,
-    moments,
+    moments_many,
 )
 
 
@@ -80,54 +81,85 @@ def correction_factor(a: float, b: float) -> float:
     return max(a * b, math.sqrt(a) * b, math.sqrt(a * b))
 
 
-def _variance_and_mean(lam, a, b, tol):
-    m = moments(CappedFunctional(lam, a, b), tol, 2)
+def _value(m):
+    """The Moments m, or the error computing them raised, raised again."""
+    if isinstance(m, Exception):
+        raise m
+    return m
+
+
+def _variance_and_mean(lam, a, b, m):
+    m = _value(m)
     return m.variance.value, m.mean.value
 
 
-def _corrected_parts(lam, a, b, tol):
-    var, mean = _variance_and_mean(lam, a, b, tol)
+def _corrected_parts(lam, a, b, m):
+    var, mean = _variance_and_mean(lam, a, b, m)
     den = correction_factor(a, b) * mean
     if not math.isfinite(den):  # an overflowing or infinite cap product
         raise ValueError(f"correction factor times mean is {den} at {(lam, a, b)}")
     return var, den
 
 
-def _indicator_parts(lam, a, b, tol):
-    return _variance_and_mean(lam, 1.0, 1.0, tol)
-
-
-def _mean_lower_parts(lam, a, b, tol):
+def _mean_lower_parts(lam, a, b, m):
     for cap in (a, b):
         if not math.isfinite(cap) or cap != int(cap) or cap < 2:
             raise ValueError(f"caps must be integers >= 2, got {cap}")
     den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
     if den < DENOMINATOR_FLOOR:  # mean / den below needs a nonzero envelope
         raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
-    mean = moments(CappedFunctional(lam, float(a), float(b)), tol, 1).mean.value
+    mean = _value(m).mean.value
     # The numerator is reported as ratio * envelope, the form claim23
     # records carry; it can differ from the mean in the last bit, and
     # num / den still rounds back to mean / den.
     return mean / den * den, den
 
 
-# Ratio kind -> (lam, a, b, tol) -> (numerator, denominator).
-# claim21 is the plain thresholded count: unit caps turn the capped
-# functional into X 1(X >= 4), so the grid caps are ignored.
+# Ratio kind -> (moment order, caps of its functional, parts), where
+# parts(lam, a, b, m) -> (numerator, denominator) reads m, the Moments of
+# the functional at (lam, caps) or the error computing them raised. None
+# takes the grid's caps; claim21 is the plain thresholded count: unit caps
+# turn the capped functional into X 1(X >= 4), so the grid caps are ignored.
 RATIO_KINDS = {
-    "corrected": _corrected_parts,
-    "original": _variance_and_mean,
-    "claim21": _indicator_parts,
-    "claim23": _mean_lower_parts,
+    "corrected": (2, None, _corrected_parts),
+    "original": (2, None, _variance_and_mean),
+    "claim21": (2, (1.0, 1.0), _variance_and_mean),
+    "claim23": (1, None, _mean_lower_parts),
 }
+
+
+def _kind_moments(which, lams, a, b, tol) -> list:
+    """For each rate, the Moments of the kind's functional there or the
+    error computing them raised, from one moments_many call."""
+    order, caps, _ = RATIO_KINDS[which]
+    caps = caps or (float(a), float(b))
+    fs = []
+    for lam in lams:
+        try:
+            fs.append(CappedFunctional(lam, *caps))
+        except ValueError as exc:  # a negative rate
+            fs.append(exc)
+    try:
+        ms = moments_many([f for f in fs if not isinstance(f, Exception)],
+                          tol, order)
+    except ValueError as exc:  # a tolerance <= 0
+        ms = itertools.repeat(exc)
+    return [f if isinstance(f, Exception) else next(ms) for f in fs]
+
+
+def _point_ratio(which, lam, a, b, m):
+    """(ratio, numerator, denominator) of a ratio kind at one point, from
+    m as RATIO_KINDS' parts read it."""
+    num, den = RATIO_KINDS[which][2](lam, a, b, m)
+    if den < DENOMINATOR_FLOOR:
+        raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
+    return num / den, num, den
 
 
 def _ratio(which, lam, a, b, tol):
     """(ratio, numerator, denominator) of a ratio kind at one point."""
-    num, den = RATIO_KINDS[which](lam, a, b, tol)
-    if den < DENOMINATOR_FLOOR:
-        raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
-    return num / den, num, den
+    (m,) = _kind_moments(which, [lam], a, b, tol)
+    return _point_ratio(which, lam, a, b, m)
 
 
 def corrected_ratio(lam, a, b, tol=DEFAULT_TOL):
@@ -307,7 +339,8 @@ def default_grid(
 
 
 def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
-    """Evaluate the chosen ratio at every grid point, in (lambda, caps) order.
+    """Evaluate the chosen ratio at every grid point, in (lambda, caps) order,
+    from one moments_many call per cap pair.
 
     threads is accepted for compatibility and ignored: evaluation is
     single-threaded. Ratio ties in the extrema are broken by the
@@ -316,10 +349,13 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     if which not in RATIO_KINDS:
         raise ValueError(f"unknown sweep kind {which!r}")
     cert = RatioCertificate(which=which, tol=grid.tol)
-    for lam in grid.lambda_points:
-        for a, b in grid.cap_pairs:
+    lams = grid.lambda_points
+    columns = [_kind_moments(which, lams, a, b, grid.tol)
+               for a, b in grid.cap_pairs]
+    for i, lam in enumerate(lams):
+        for (a, b), column in zip(grid.cap_pairs, columns):
             try:
-                ratio, num, den = _ratio(which, lam, a, b, grid.tol)
+                ratio, num, den = _point_ratio(which, lam, a, b, column[i])
             except SkippedPoint as exc:
                 cert.skipped.append((lam, a, b, str(exc)))
             except (ArithmeticError, ValueError) as exc:

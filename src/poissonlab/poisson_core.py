@@ -12,8 +12,10 @@ are provided for dual-route validation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,9 +23,12 @@ MAX_TERMS = 10**7
 DEFAULT_TOL = 1e-10
 DENOMINATOR_FLOOR = 1e-300
 
-# Relative bound on accumulated floating-point error of the summed terms
-# (pmf evaluation via log-factorial + exp, functional evaluation, exact fsum).
-# Observed term-level relative errors are ~1e-15; this carries ~100x margin.
+# Relative bound on the floating-point error of the summed terms: the pmf
+# (log-factorial and exp) and the functional. The sums themselves are
+# correctly rounded (_exact_sums) and add at most half an ulp. The bound is
+# calibrated, not derived: the worst pmf error measured against 40-digit
+# arithmetic is 2.8e-14 at lambda = 1 and 3.8e-14 at lambda = 10, a margin
+# of 5-7x here; _fp_rel's margin grows to 10-30x for lambda >= 100.
 FP_RELATIVE_BOUND = 2e-13
 
 _EPS = 2.220446049250313e-16
@@ -39,8 +44,10 @@ def _fp_rel(lam: float) -> float:
     """Relative certified roundoff for sums of pmf-weighted terms.
 
     log-pmf cancels components of size ~lam*log(lam), so the pmf carries a
-    relative error ~eps times that magnitude; the constant 16 gives ample
-    margin over observed errors.
+    relative error ~eps times that magnitude. The constant 16 is calibrated:
+    over the worst pmf error measured against 40-digit arithmetic the bound
+    has a margin of 5-7x at lambda <= 10, 10x at 1e2, 17x at 1e4 and about
+    30x at 1e6 and 1e9.
     """
     if lam <= 0.0:
         return FP_RELATIVE_BOUND
@@ -58,7 +65,7 @@ class TruncationError(ArithmeticError):
         self.terms_used = terms_used
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CappedFunctional:
     """Parameters (lambda, a, b, t) of x*sqrt(min(x,a)*min(x,b))*1(x >= t).
 
@@ -138,14 +145,16 @@ def pmf(lam: float, x: int) -> float:
     return math.exp(log_pmf(lam, x))
 
 
+def _capped(x: np.ndarray, cap_a, cap_b) -> np.ndarray:
+    """x*sqrt(min(x,a)*min(x,b))*1(x >= t) on a float array; the caps are
+    scalars or arrays of the same length."""
+    root = np.sqrt(np.minimum(x, cap_a) * np.minimum(x, cap_b))
+    return np.where(x >= CappedFunctional.threshold, x * root, 0.0)
+
+
 def functional_value(x, f: CappedFunctional):
     """Evaluate x*sqrt(min(x,a)*min(x,b))*1(x >= t); scalar or array."""
-    xa = np.asarray(x, dtype=np.float64)
-    vals = np.where(
-        xa >= f.threshold,
-        xa * np.sqrt(np.minimum(xa, f.cap_a) * np.minimum(xa, f.cap_b)),
-        0.0,
-    )
+    vals = _capped(np.asarray(x, dtype=np.float64), f.cap_a, f.cap_b)
     if np.ndim(x) == 0:
         return float(vals)
     return vals
@@ -179,8 +188,9 @@ def _log_factorial_series(k: np.ndarray) -> np.ndarray:
     return (z - 0.5) * log_z - z + _HALF_LOG_2PI + a / z
 
 
-# log k! for k < 2^14 (128 KiB): a window whose top index is below 2^14
-# (rates up to ~1.4e4) takes its values as a slice.
+# log k! for k < 2^14 (128 KiB): rates up to ~1.4e4 read every value from
+# the table. From k = 12 on it holds the series' own values, so a count
+# reads the same log k! from the table as from the series.
 _LOG_FACTORIAL = _log_factorial_series(np.arange(2**14, dtype=np.float64))
 _LOG_FACTORIAL[:_EXACT_BELOW] = [
     math.log(math.factorial(k)) for k in range(_EXACT_BELOW)
@@ -188,16 +198,105 @@ _LOG_FACTORIAL[:_EXACT_BELOW] = [
 _LOG_FACTORIAL.flags.writeable = False
 
 
+def _log_factorial(x: np.ndarray) -> np.ndarray:
+    """log x! of integer-valued floats x >= 0: the table below 2^14, the
+    series above."""
+    small = x < len(_LOG_FACTORIAL)
+    out = _LOG_FACTORIAL[np.where(small, x, 0.0).astype(np.intp)]
+    if not small.all():
+        out[~small] = _log_factorial_series(x[~small])
+    return out
+
+
+def _pmf(x: np.ndarray, log_lam, lam) -> np.ndarray:
+    """Poisson pmf at integer-valued floats x, rate and log-rate scalars or
+    arrays of x's length; log lambda comes from math.log."""
+    logp = x * log_lam
+    logp -= lam
+    logp -= _log_factorial(x)
+    return np.exp(logp, out=logp)
+
+
 def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.arange(lo, hi + 1, dtype=np.float64)
-    if hi < len(_LOG_FACTORIAL):
-        log_fact = _LOG_FACTORIAL[lo : hi + 1]
-    else:
-        log_fact = _log_factorial_series(x)
-        if lo < _EXACT_BELOW:
-            log_fact[: _EXACT_BELOW - lo] = _LOG_FACTORIAL[lo:_EXACT_BELOW]
-    logp = x * math.log(lam) - lam - log_fact
-    return x, np.exp(logp)
+    return x, _pmf(x, math.log(lam), lam)
+
+
+# Exact summation. A double v > 0 is M * 2^E with an integer M < 2^53 and
+# E >= -1126 (the smallest subnormal is 2^52 * 2^-1126). With
+# E + 1126 = 32 q + r, M * 2^r < 2^85 splits into three 32-bit pieces that
+# belong to the 32-bit limbs q, q + 1 and q + 2 of the sum in units of
+# 2^-1126. np.bincount adds each kind of piece per (segment, limb) in
+# float64, which is exact while a bin takes fewer than 2^21 pieces: values
+# are binned in blocks of _EXACT_ELEMENTS, which also bounds the
+# temporaries. A segment's limbs, over every block it spans, add up to one
+# Python int, and int / int division rounds it correctly, half to even:
+# the bits math.fsum returns.
+_EXACT_ELEMENTS = 2**14
+_ORIGIN = 1126
+_SCALE = 1 << _ORIGIN
+_MANTISSA = 2.0 ** np.arange(53, 85)  # 2^(53 + r): M * 2^r from frexp's m
+
+
+def _exact_sums(values: np.ndarray, starts) -> list:
+    """Correctly rounded sums of the segments of values that begin at
+    starts (nondecreasing, the first 0; each segment runs to the next start
+    and the last to the end), the bits math.fsum returns for each.
+
+    For nonnegative finite values. A segment holding anything else (a NaN,
+    an inf, a negative value or -0.0) is summed by math.fsum. A sum beyond
+    the float range raises OverflowError, as math.fsum does.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    n = len(values)
+    totals = [0] * len(starts)
+    other = set()
+    for a in range(0, n, _EXACT_ELEMENTS):
+        b = min(n, a + _EXACT_ELEMENTS)
+        first = int(np.searchsorted(starts, a, "right")) - 1
+        stop = int(np.searchsorted(starts, b))
+        local = np.maximum(starts[first:stop] - a, 0)
+        seg = np.repeat(np.arange(stop - first), np.diff(local, append=b - a))
+        v = values[a:b]
+        keep = (v > 0.0) & (v < math.inf)
+        if not keep.all():
+            other.update((seg[np.signbit(v) | ~(v < math.inf)] + first).tolist())
+            v, seg = v[keep], seg[keep]
+            if not len(v):
+                continue
+        w, q = np.frexp(v)
+        q += _ORIGIN - 53
+        w *= _MANTISSA[q & 31]
+        q >>= 5
+        qmin = int(q.min())
+        limbs = int(q.max()) - qmin + 4
+        top = np.floor(w * 2.0**-64)
+        w -= top * 2.0**64
+        mid = np.floor(w * 2.0**-32)
+        w -= mid * 2.0**32
+        seg *= limbs  # the bin of each value's lowest piece
+        seg += q
+        seg -= qmin
+        size = (stop - first) * limbs
+        acc = np.bincount(seg, w, size).astype(np.int64)
+        acc[1:] += np.bincount(seg, mid, size)[:-1].astype(np.int64)
+        acc[2:] += np.bincount(seg, top, size)[:-2].astype(np.int64)
+        # Each limb is below 2^48, so the even and the odd limbs each form
+        # a little-endian number of 64-bit words.
+        acc = acc.reshape(-1, limbs)
+        even = acc[:, 0::2].astype("<u8").tobytes()
+        odd = acc[:, 1::2].astype("<u8").tobytes()
+        ne, no = 8 * ((limbs + 1) // 2), 8 * (limbs // 2)
+        for j in range(stop - first):
+            total = int.from_bytes(even[j * ne : (j + 1) * ne], "little")
+            total += int.from_bytes(odd[j * no : (j + 1) * no], "little") << 32
+            totals[first + j] += total << (32 * qmin)
+    ends = [*starts[1:].tolist(), n]
+    return [
+        math.fsum(values[starts[i] : ends[i]]) if i in other else t / _SCALE
+        for i, t in enumerate(totals)
+    ]
 
 
 # Each side of the summation window is widened until its certified tail is
@@ -205,19 +304,117 @@ def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 # tail below half an ulp of the roundoff term _fp_rel(lam) * S_k (at least
 # 2e-13 * S_k), so it cannot move a reported bound.
 _REL_CUT = 2.0**-100
+# Elements per batch of first windows laid end to end (256 KiB of float64
+# per temporary); a wider first window takes the one-window loop.
+_BATCH_ELEMENTS = 2**15
 
 
-def _certified_window(f, tol, floor, max_power, max_terms):
+class _Pass(NamedTuple):
+    """One vectorised pass over summation windows laid end to end.
+
+    Window i covers [lo[i], hi[i]] plus the edge terms its tails read: the
+    flat arrays p(x) and f(x) run over [lo - 1, hi + 1] (from lo when lo is
+    the floor), and body marks the elements of [lo, hi]. For k = 1..K,
+    sums[k - 1][i] is window i's correctly rounded sum of f^k p over
+    [lo, hi] and trunc[k - 1][i] the certified tail of that sum outside it.
+    left_ok[i] and right_ok[i] say whether each side's tail is below the
+    cut for every power; r[i] is the right term ratio.
+    """
+
+    p: np.ndarray
+    fv: np.ndarray
+    body: np.ndarray
+    sums: list
+    trunc: list
+    left_ok: np.ndarray
+    right_ok: np.ndarray
+    lo: list
+    hi: list
+    r: list
+
+
+def _first_window(f, floor, max_terms):
+    """[lo, hi] of f's first summation window (see _certified_window)."""
+    lam = f.lam
+    h = 14.0 * math.sqrt(lam + 1.0) + 16.0
+    width = min(2.0 * h, lam + h - floor)
+    if width > max_terms:
+        raise TruncationError(
+            f"summation window of {width:.6g} terms exceeds the "
+            f"{max_terms}-term budget"
+        )
+    lo = max(floor, math.floor(lam - h))
+    return lo, max(math.ceil(lam + h), f.threshold + 16, 48)
+
+
+def _window_pass(fs, lo, hi, floor, tol, max_power) -> _Pass:
+    """Terms, tail tests and sums of the windows [lo[i], hi[i]] (lists of
+    ints) of the functionals fs (rates > 0), as _certified_window defines
+    them.
+
+    Per-rate scalars come from math (log lambda, r), and every element
+    takes the same operations in the same order for one window or many, so
+    a window's results do not depend on the others in its pass.
+    """
+    n = len(fs)
+    lam = [f.lam for f in fs]
+    r = [
+        (f.lam / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
+        for f, h in zip(fs, hi)
+    ]
+    left = np.array(lo) > floor
+    start = np.array(lo) - left
+    sizes = np.array(hi) + 2 - start
+    ends = np.cumsum(sizes)
+    first, last = ends - sizes, ends - 1
+    x = np.arange(ends[-1], dtype=np.float64)
+    x -= np.repeat(first - start, sizes)
+
+    def spread(values):
+        # One value for all windows stays a scalar: no array to allocate.
+        same = all(v == values[0] for v in values)
+        return values[0] if same else np.repeat(values, sizes)
+
+    p = _pmf(x, spread([math.log(v) for v in lam]), spread(lam))
+    fv = _capped(x, spread([f.cap_a for f in fs]), spread([f.cap_b for f in fs]))
+    del x
+
+    body = np.ones(len(p), dtype=bool)
+    body[first[left]] = False
+    body[last] = False
+    body_sizes = sizes - 1 - left
+    body_starts = np.cumsum(body_sizes) - body_sizes
+    bounds = np.column_stack((first + left, last)).ravel()
+    lam_v, r_v = np.array(lam), np.array(r)
+    left_den = 1.0 - np.divide(start, lam_v, out=np.zeros(n), where=left)
+    tol_cut = tol / 16.0
+    left_ok, right_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    sums, trunc = [], []
+    fpow = np.ones_like(fv)
+    for _ in range(max_power):
+        fpow = fpow * fv
+        terms = fpow * p
+        rel = _REL_CUT * np.maximum.reduceat(terms, bounds)[::2]
+        cut = np.where(rel < tol_cut, rel, tol_cut)
+        right = np.divide(
+            terms[last], 1.0 - r_v, out=np.full(n, math.inf), where=r_v < 1.0
+        )
+        left_tail = np.divide(terms[first], left_den, out=np.zeros(n), where=left)
+        left_ok &= left_tail <= cut
+        right_ok &= right <= cut
+        trunc.append(left_tail + right)
+        sums.append(_exact_sums(terms[body], body_starts))
+    return _Pass(p, fv, body, sums, trunc, left_ok, right_ok, lo, hi, r)
+
+
+def _certified_window(f, tol, floor, max_power, max_terms) -> _Pass:
     """The certified summation window of f, shared by both variance routes.
 
-    Returns (p, fv, body, terms, trunc, lo, r): p(x) and f(x) on
-    [lo - 1, hi + 1] (no left edge term when lo is the floor), the slice
-    body that holds [lo, hi], terms[k] = f^k p on the same range and
-    trunc[k], the certified tail of sum f^k p outside [lo, hi], for
-    k = 1..max_power, and the right term ratio r < 1. The first window has
-    half-width h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda - h))
-    and hi = max(ceil(lambda + h), t + 16, 48), so its cost grows like
-    sqrt(lambda). The tails are geometric, from the edge terms:
+    Returns the one-window _Pass whose tails are all below the cut. The
+    first window has half-width h = 14*sqrt(lambda+1) + 16:
+    lo = max(floor, floor(lambda - h)) and hi = max(ceil(lambda + h),
+    t + 16, 48), so its cost grows like sqrt(lambda). The tails are
+    geometric, from the edge terms:
 
     - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
       most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
@@ -232,15 +429,8 @@ def _certified_window(f, tol, floor, max_power, max_terms):
     and no widening could move the rounded ends, and again before each
     window is allocated.
     """
-    lam, t = f.lam, f.threshold
-    h = 14.0 * math.sqrt(lam + 1.0) + 16.0
-    width = min(2.0 * h, lam + h - floor)
-    if width > max_terms:
-        raise TruncationError(
-            f"summation window of {width:.6g} terms exceeds the "
-            f"{max_terms}-term budget"
-        )
-    lo, hi = max(floor, math.floor(lam - h)), max(math.ceil(lam + h), t + 16, 48)
+    lam = f.lam
+    lo, hi = _first_window(f, floor, max_terms)
     best = math.inf
     while True:
         start = lo - 1 if lo > floor else lo
@@ -251,28 +441,13 @@ def _certified_window(f, tol, floor, max_power, max_terms):
                 best_bound=best,
                 terms_used=hi - lo + 1,
             )
-        x, p = _pmf_window(lam, start, hi + 1)
-        fv = functional_value(x, f)
-        body = slice(lo - start, len(x) - 1)
-        r = (lam / (hi + 2.0)) * ((hi + 2.0) / (hi + 1.0)) ** (2 * max_power)
-        terms, trunc = {}, {}
-        left_ok = right_ok = True
-        fpow = np.ones_like(fv)
-        for k in range(1, max_power + 1):
-            fpow = fpow * fv
-            terms[k] = fpow * p
-            cut = min(tol / 16.0, _REL_CUT * float(terms[k][body].max()))
-            right = terms[k][-1] / (1.0 - r) if r < 1.0 else math.inf
-            left = terms[k][0] / (1.0 - (lo - 1.0) / lam) if lo > floor else 0.0
-            left_ok = left_ok and left <= cut
-            right_ok = right_ok and right <= cut
-            trunc[k] = float(left + right)
-        if left_ok and right_ok:
-            return p, fv, body, terms, trunc, lo, r
-        best = max(trunc.values())
-        if not left_ok:
+        w = _window_pass([f], [lo], [hi], floor, tol, max_power)
+        if w.left_ok[0] and w.right_ok[0]:
+            return w
+        best = max(float(t[0]) for t in w.trunc)
+        if not w.left_ok[0]:
             lo = max(floor, lo - max(16, math.ceil(lam - lo)))
-        if not right_ok:
+        if not w.right_ok[0]:
             hi += max(16, math.ceil(hi - lam))
 
 
@@ -280,19 +455,73 @@ def _certified_sums(f, tol, max_power=2):
     """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
 
     Returns (sums, trunc_tails, terms_used) over the window of
-    _certified_window with floor t: sums taken exactly (fsum) in increasing
-    x, so results are deterministic, that window's tails and its width.
+    _certified_window with floor t: correctly rounded sums (_exact_sums),
+    so results do not depend on how the terms are grouped, that window's
+    tails and its width.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     powers = range(1, max_power + 1)
     if f.lam == 0.0 or f.cap_a == 0.0:
         return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
-    _, _, body, terms, trunc, _, _ = _certified_window(
-        f, tol, f.threshold, max_power, MAX_TERMS
-    )
-    sums = {k: math.fsum(terms[k][body]) for k in powers}
-    return sums, trunc, body.stop - body.start
+    w = _certified_window(f, tol, f.threshold, max_power, MAX_TERMS)
+    sums = {k: w.sums[k - 1][0] for k in powers}
+    trunc = {k: float(w.trunc[k - 1][0]) for k in powers}
+    return sums, trunc, w.hi[0] - w.lo[0] + 1
+
+
+def _batched_moments(fs, tol, order) -> Iterator:
+    """Yields, in the order of fs, the Moments of each functional or the
+    ArithmeticError computing them raised.
+
+    First windows that fit _BATCH_ELEMENTS are laid end to end in chunks,
+    one pass each, before the first result. A functional whose first
+    window misses the cut or is wider, or has rate or cap 0, takes
+    _certified_sums alone when its turn comes, so a consumer that stops at
+    a failure does not pay for the wide windows after it.
+    """
+    n, t = len(fs), CappedFunctional.threshold
+    lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for i, f in enumerate(fs):
+        if f.lam > 0.0 and f.cap_a > 0.0:
+            # Over budget, the window stays 0 and _certified_sums raises.
+            with contextlib.suppress(TruncationError):
+                lo[i], hi[i] = _first_window(f, t, MAX_TERMS)
+    size = np.where(hi > 0, hi + 2 - (lo - (lo > t)), 0)
+    batched = np.flatnonzero((size > 0) & (size <= _BATCH_ELEMENTS))
+    breaks, used = [0], 0
+    for j, s in enumerate(size[batched].tolist()):
+        if used + s > _BATCH_ELEMENTS:
+            breaks.append(j)
+            used = 0
+        used += s
+    breaks.append(len(batched))
+    # Results of the certified batched windows; terms 0 marks the others.
+    sums, tails = np.zeros((order, n)), np.zeros((order, n))
+    terms = np.zeros(n, dtype=np.int64)
+    for a, b in zip(breaks, breaks[1:]):
+        idx = batched[a:b]
+        if len(idx):
+            w = _window_pass([fs[i] for i in idx], lo[idx].tolist(),
+                             hi[idx].tolist(), t, tol, order)
+            ok = w.left_ok & w.right_ok
+            sums[:, idx[ok]] = np.array(w.sums)[:, ok]
+            tails[:, idx[ok]] = np.array(w.trunc)[:, ok]
+            terms[idx[ok]] = (hi - lo + 1)[idx[ok]]
+            del w  # before the next chunk's pass is allocated
+    powers = range(1, order + 1)
+    for i, f in enumerate(fs):
+        try:
+            if terms[i]:
+                res = ({k: float(sums[k - 1, i]) for k in powers},
+                       {k: float(tails[k - 1, i]) for k in powers},
+                       int(terms[i]))
+            else:
+                res = _certified_sums(f, tol, order)
+            m = _moments(f, *res, order)
+        except ArithmeticError as exc:
+            m = exc
+        yield m
 
 
 def _guarded(
@@ -310,25 +539,9 @@ def _guarded(
     return est
 
 
-def moments(
-    f: CappedFunctional, tol: float = DEFAULT_TOL, order: int = 2
-) -> Moments:
-    """Certified moments of f(X) up to the given order (1, 2 or 4) from one
-    summation pass.
-
-    The sums come from one _certified_window pass with floor t, its tails
-    cut at min(tol/16, 2^-100 * the largest term) for every power. The
-    variance is E[f^2] - E[f]^2 with the error bound propagated; it has no
-    other route. Order 4 adds the fourth central moment
-    E[(f(X) - E f(X))^4], used for variance standard-error bands. A higher
-    order can widen the summation window, which moves lower moments in the
-    last bit, so ask for the lowest order needed. A moment whose certified
-    bound exceeds its value raises TruncationError; for the variance that
-    happens where the subtraction leaves only roundoff.
-    """
-    if order not in (1, 2, 4):
-        raise ValueError(f"order must be 1, 2 or 4, got {order}")
-    sums, trunc, n = _certified_sums(f, tol, max_power=order)
+def _moments(f, sums, trunc, n, order) -> Moments:
+    """Moments of f from its window sums, tails and width; a moment whose
+    bound exceeds its value raises TruncationError."""
     fp = _fp_rel(f.lam)
     s1, t1 = sums[1], trunc[1]
     mean = _guarded("mean", MomentEstimate(s1, t1 + fp * s1, n), f)
@@ -353,6 +566,46 @@ def moments(
     )
     mu4_est = MomentEstimate(max(mu4, 0.0), tail, n)
     return Moments(mean, var, _guarded("fourth central moment", mu4_est, f))
+
+
+def moments_many(fs, tol: float = DEFAULT_TOL, order: int = 2) -> Iterator:
+    """moments of each functional in fs, from batched summation passes.
+
+    Returns an iterator over fs in order: the Moments of each functional,
+    or the ArithmeticError (a TruncationError, say) that moments raises for
+    it, so one functional's failure never fails the others. Every sum is
+    correctly rounded, so each entry's bits do not depend on the batch it
+    came in. An order outside (1, 2, 4) or a tolerance <= 0 raises
+    ValueError for the whole batch.
+    """
+    if order not in (1, 2, 4):
+        raise ValueError(f"order must be 1, 2 or 4, got {order}")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return _batched_moments(list(fs), tol, order)
+
+
+def moments(
+    f: CappedFunctional, tol: float = DEFAULT_TOL, order: int = 2
+) -> Moments:
+    """Certified moments of f(X) up to the given order (1, 2 or 4) from one
+    summation pass: moments_many([f], tol, order).
+
+    The sums come from one _certified_window pass with floor t, its tails
+    cut at min(tol/16, 2^-100 * the largest term) for every power, each
+    sum correctly rounded (_exact_sums). The variance is E[f^2] - E[f]^2
+    with the error bound propagated; it has no other route. Order 4 adds
+    the fourth central moment E[(f(X) - E f(X))^4], used for variance
+    standard-error bands. A higher order can widen the summation window,
+    which moves lower moments in the last bit, so ask for the lowest order
+    needed. A moment whose certified bound exceeds its value raises
+    TruncationError; for the variance that happens where the subtraction
+    leaves only roundoff.
+    """
+    (m,) = moments_many([f], tol, order)
+    if isinstance(m, ArithmeticError):
+        raise m
+    return m
 
 
 def expectation(f: CappedFunctional, tol: float = DEFAULT_TOL) -> MomentEstimate:
@@ -394,13 +647,12 @@ def variance_pairwise(
     if lam == 0.0 or f.cap_a == 0.0:
         return PairwiseVarianceResult(0.0, 0.0)
 
-    p, fv, body, terms, trunc, lo, r = _certified_window(
-        f, tol, 0, 2, _PAIRWISE_TERMS
-    )
-    ptail = float(p[-1]) / (1.0 - r)
-    ptail += float(p[0]) / (1.0 - (lo - 1.0) / lam) if lo > 0 else 0.0
+    w = _certified_window(f, tol, 0, 2, _PAIRWISE_TERMS)
+    lo, r = w.lo[0], w.r[0]
+    ptail = float(w.p[-1]) / (1.0 - r)
+    ptail += float(w.p[0]) / (1.0 - (lo - 1.0) / lam) if lo > 0 else 0.0
 
-    fv, p = fv[body], p[body]
+    fv, p = w.fv[w.body], w.p[w.body]
     n = len(fv)
     rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
@@ -415,10 +667,10 @@ def variance_pairwise(
         parts.append(2.0 * float(np.sum(block[:, k:])))
     value = 0.5 * math.fsum(parts)
 
-    s1w = math.fsum(terms[1][body])
-    s2w = math.fsum(terms[2][body])
+    (s1w,), (s2w,) = w.sums
     fp = _fp_rel(lam) * (2.0 * s2w + s1w * s1w + value)
-    return PairwiseVarianceResult(value, 4.0 * (trunc[2] + ptail * s2w) + fp)
+    tail = float(w.trunc[1][0])
+    return PairwiseVarianceResult(value, 4.0 * (tail + ptail * s2w) + fp)
 
 
 def monte_carlo_moments(

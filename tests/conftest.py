@@ -5,13 +5,14 @@ from poissonlab import poisson_core
 
 @pytest.fixture
 def summation_calls(monkeypatch):
-    """The functionals passed to poisson_core._certified_sums, one per pass."""
+    """The functionals passed to the batched summation entry,
+    poisson_core._batched_moments, one per functional summed."""
     calls = []
-    original = poisson_core._certified_sums
+    original = poisson_core._batched_moments
 
-    def counted(f, *args, **kwargs):
-        calls.append(f)
-        return original(f, *args, **kwargs)
+    def counted(fs, *args, **kwargs):
+        calls.extend(fs)
+        return original(fs, *args, **kwargs)
 
-    monkeypatch.setattr(poisson_core, "_certified_sums", counted)
+    monkeypatch.setattr(poisson_core, "_batched_moments", counted)
     return calls

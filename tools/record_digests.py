@@ -42,6 +42,10 @@ RECORDS = {
     "certify lemma1 small grid csv": [*SMALL_GRID, *CSV],
     "certify lemma1 lambda 5e6": ["certify", "lemma1", "--lambda", "5e6",
                                   "--caps", "2,4"],
+    # Vacuous (rate 0), errored (5e6) and normal rates in one batch per pair.
+    "certify lemma1 mixed batch": ["certify", "lemma1", "--lambda",
+                                   "0,0.3,1,1e4,5e6", "--caps", "2,4",
+                                   "--caps", "1e6,1e6"],
     "falsify target 50": ["falsify", "--target", "50"],
     "falsify target 1e9": ["falsify", "--target", "1e9"],
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
