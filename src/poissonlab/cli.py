@@ -167,8 +167,8 @@ def cmd_certify(args) -> int:
     # failed numerically leaves the claim uncertified.
     certified = bool(cert.records) and cert.errored == 0 and holds
 
-    # RatioRecord's fields, in order, are the columns.
-    records = [dict(zip(CERTIFY_COLUMNS, dataclasses.astuple(r)))
+    records = [dict(zip(CERTIFY_COLUMNS, (r.lam, r.cap_a, r.cap_b, r.numerator,
+                                          r.denominator, r.ratio)))
                for r in cert.records]
     body = {
         "which": cert.which,

@@ -12,7 +12,6 @@ are provided for dual-route validation.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -304,37 +303,27 @@ def _exact_sums(values: np.ndarray, starts) -> list:
 # tail below half an ulp of the roundoff term _fp_rel(lam) * S_k (at least
 # 2e-13 * S_k), so it cannot move a reported bound.
 _REL_CUT = 2.0**-100
-# Elements per batch of first windows laid end to end (256 KiB of float64
-# per temporary); a wider first window takes the one-window loop.
+# Elements per pass of windows laid end to end (256 KiB of float64 per
+# temporary); a wider window takes a pass of its own.
 _BATCH_ELEMENTS = 2**15
 
 
-class _Pass(NamedTuple):
-    """One vectorised pass over summation windows laid end to end.
+class _Window(NamedTuple):
+    """A certified summation window [lo, hi] of one functional: for
+    k = 1..K, sums[k] is the correctly rounded sum of f^k p over it and
+    trunc[k] the certified tail of that sum outside it; terms is its width,
+    hi - lo + 1 (0 for a rate or cap of 0), and r the right term ratio."""
 
-    Window i covers [lo[i], hi[i]] plus the edge terms its tails read: the
-    flat arrays p(x) and f(x) run over [lo - 1, hi + 1] (from lo when lo is
-    the floor), and body marks the elements of [lo, hi]. For k = 1..K,
-    sums[k - 1][i] is window i's correctly rounded sum of f^k p over
-    [lo, hi] and trunc[k - 1][i] the certified tail of that sum outside it.
-    left_ok[i] and right_ok[i] say whether each side's tail is below the
-    cut for every power; r[i] is the right term ratio.
-    """
-
-    p: np.ndarray
-    fv: np.ndarray
-    body: np.ndarray
-    sums: list
-    trunc: list
-    left_ok: np.ndarray
-    right_ok: np.ndarray
-    lo: list
-    hi: list
-    r: list
+    lo: int
+    hi: int
+    sums: dict
+    trunc: dict
+    terms: int
+    r: float
 
 
 def _first_window(f, floor, max_terms):
-    """[lo, hi] of f's first summation window (see _certified_window)."""
+    """[lo, hi] of f's first summation window (see _certified_windows)."""
     lam = f.lam
     h = 14.0 * math.sqrt(lam + 1.0) + 16.0
     width = min(2.0 * h, lam + h - floor)
@@ -347,14 +336,17 @@ def _first_window(f, floor, max_terms):
     return lo, max(math.ceil(lam + h), f.threshold + 16, 48)
 
 
-def _window_pass(fs, lo, hi, floor, tol, max_power) -> _Pass:
-    """Terms, tail tests and sums of the windows [lo[i], hi[i]] (lists of
-    ints) of the functionals fs (rates > 0), as _certified_window defines
-    them.
+def _window_pass(fs, lo, hi, floor, tol, max_power):
+    """Sums and tail tests of the windows [lo[i], hi[i]] (ints) of the
+    functionals fs (rates > 0), as _certified_windows defines them.
 
-    Per-rate scalars come from math (log lambda, r), and every element
-    takes the same operations in the same order for one window or many, so
-    a window's results do not depend on the others in its pass.
+    Returns (sums, trunc, left_ok, right_ok, r): sums[k - 1][i] and
+    trunc[k - 1][i] are window i's sum and tail of f^k p (see _Window),
+    left_ok[i] and right_ok[i] whether each side's tail is below the cut
+    for every power. The terms run over [lo - 1, hi + 1] (from lo when lo
+    is the floor). Per-rate scalars come from math (log lambda, r), and
+    every element takes the same operations in the same order for one
+    window or many, so a window's results do not depend on its pass.
     """
     n = len(fs)
     lam = [f.lam for f in fs]
@@ -402,19 +394,19 @@ def _window_pass(fs, lo, hi, floor, tol, max_power) -> _Pass:
         left_tail = np.divide(terms[first], left_den, out=np.zeros(n), where=left)
         left_ok &= left_tail <= cut
         right_ok &= right <= cut
-        trunc.append(left_tail + right)
+        trunc.append((left_tail + right).tolist())
         sums.append(_exact_sums(terms[body], body_starts))
-    return _Pass(p, fv, body, sums, trunc, left_ok, right_ok, lo, hi, r)
+    return sums, trunc, left_ok, right_ok, r
 
 
-def _certified_window(f, tol, floor, max_power, max_terms) -> _Pass:
-    """The certified summation window of f, shared by both variance routes.
+def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
+    """Yields, in the order of fs, each functional's certified _Window or
+    the TruncationError that ended its widening.
 
-    Returns the one-window _Pass whose tails are all below the cut. The
-    first window has half-width h = 14*sqrt(lambda+1) + 16:
-    lo = max(floor, floor(lambda - h)) and hi = max(ceil(lambda + h),
-    t + 16, 48), so its cost grows like sqrt(lambda). The tails are
-    geometric, from the edge terms:
+    A rate or cap of 0 gives zero sums and 0 terms. The first window has
+    half-width h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda -
+    h)) and hi = max(ceil(lambda + h), t + 16, 48), so its cost grows like
+    sqrt(lambda). The tails are geometric, from the edge terms:
 
     - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
       most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
@@ -428,100 +420,85 @@ def _certified_window(f, tol, floor, max_power, max_terms) -> _Pass:
     width, because from lambda ~1.6e34 on h is below half an ulp of lambda
     and no widening could move the rounded ends, and again before each
     window is allocated.
+
+    Each pass lays the pending windows end to end, widened ones first, up
+    to _BATCH_ELEMENTS elements; a wider window gets a pass of its own. A
+    result is yielded as soon as it and every result before it are known,
+    so a consumer that stops at a failure does not pay for the wide
+    windows after it.
     """
-    lam = f.lam
-    lo, hi = _first_window(f, floor, max_terms)
-    best = math.inf
-    while True:
-        start = lo - 1 if lo > floor else lo
-        if hi + 2 - start > max_terms:
-            raise TruncationError(
-                f"summation window of {hi + 2 - start} terms exceeds the "
-                f"{max_terms}-term budget",
-                best_bound=best,
-                terms_used=hi - lo + 1,
-            )
-        w = _window_pass([f], [lo], [hi], floor, tol, max_power)
-        if w.left_ok[0] and w.right_ok[0]:
-            return w
-        best = max(float(t[0]) for t in w.trunc)
-        if not w.left_ok[0]:
-            lo = max(floor, lo - max(16, math.ceil(lam - lo)))
-        if not w.right_ok[0]:
-            hi += max(16, math.ceil(hi - lam))
-
-
-def _certified_sums(f, tol, max_power=2):
-    """Sums S_k = sum_x f(x)^k p(x), k = 1..max_power, with certified tails.
-
-    Returns (sums, trunc_tails, terms_used) over the window of
-    _certified_window with floor t: correctly rounded sums (_exact_sums),
-    so results do not depend on how the terms are grouped, that window's
-    tails and its width.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     powers = range(1, max_power + 1)
-    if f.lam == 0.0 or f.cap_a == 0.0:
-        return {k: 0.0 for k in powers}, {k: 0.0 for k in powers}, 0
-    w = _certified_window(f, tol, f.threshold, max_power, MAX_TERMS)
-    sums = {k: w.sums[k - 1][0] for k in powers}
-    trunc = {k: float(w.trunc[k - 1][0]) for k in powers}
-    return sums, trunc, w.hi[0] - w.lo[0] + 1
+    known = {}  # index -> result, until it is yielded
+
+    def queued(i, lo, hi, best):
+        # [(i, lo, hi, best, elements)] within the budget, else [] with
+        # the error in known[i].
+        size = hi + 2 - (lo - (lo > floor))
+        if size <= max_terms:
+            return [(i, lo, hi, best, size)]
+        known[i] = TruncationError(
+            f"summation window of {size} terms exceeds the "
+            f"{max_terms}-term budget",
+            best_bound=best,
+            terms_used=hi - lo + 1,
+        )
+        return []
+
+    pending = []
+    for i, f in enumerate(fs):
+        if f.lam == 0.0 or f.cap_a == 0.0:
+            zero = dict.fromkeys(powers, 0.0)
+            known[i] = _Window(0, -1, zero, zero, 0, 0.0)
+            continue
+        try:
+            pending += queued(i, *_first_window(f, floor, max_terms), math.inf)
+        except TruncationError as exc:
+            known[i] = exc
+
+    done = 0
+    while done < len(fs):
+        if done in known:
+            yield known.pop(done)
+            done += 1
+            continue
+        chunk, used = [], 0
+        for item in pending:
+            if chunk and used + item[4] > _BATCH_ELEMENTS:
+                break
+            chunk.append(item)
+            used += item[4]
+        del pending[: len(chunk)]
+        idx, lo, hi, _, _ = zip(*chunk)
+        sums, trunc, left_ok, right_ok, r = _window_pass(
+            [fs[i] for i in idx], lo, hi, floor, tol, max_power)
+        widened = []
+        for j, (i, lo, hi, best, _) in enumerate(chunk):
+            if left_ok[j] and right_ok[j]:
+                known[i] = _Window(lo, hi, {k: sums[k - 1][j] for k in powers},
+                                   {k: trunc[k - 1][j] for k in powers},
+                                   hi - lo + 1, r[j])
+                continue
+            lam, best = fs[i].lam, max(t[j] for t in trunc)
+            if not left_ok[j]:
+                lo = max(floor, lo - max(16, math.ceil(lam - lo)))
+            if not right_ok[j]:
+                hi += max(16, math.ceil(hi - lam))
+            widened += queued(i, lo, hi, best)
+        pending[:0] = widened
 
 
 def _batched_moments(fs, tol, order) -> Iterator:
     """Yields, in the order of fs, the Moments of each functional or the
-    ArithmeticError computing them raised.
-
-    First windows that fit _BATCH_ELEMENTS are laid end to end in chunks,
-    one pass each, before the first result. A functional whose first
-    window misses the cut or is wider, or has rate or cap 0, takes
-    _certified_sums alone when its turn comes, so a consumer that stops at
-    a failure does not pay for the wide windows after it.
-    """
-    n, t = len(fs), CappedFunctional.threshold
-    lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for i, f in enumerate(fs):
-        if f.lam > 0.0 and f.cap_a > 0.0:
-            # Over budget, the window stays 0 and _certified_sums raises.
-            with contextlib.suppress(TruncationError):
-                lo[i], hi[i] = _first_window(f, t, MAX_TERMS)
-    size = np.where(hi > 0, hi + 2 - (lo - (lo > t)), 0)
-    batched = np.flatnonzero((size > 0) & (size <= _BATCH_ELEMENTS))
-    breaks, used = [0], 0
-    for j, s in enumerate(size[batched].tolist()):
-        if used + s > _BATCH_ELEMENTS:
-            breaks.append(j)
-            used = 0
-        used += s
-    breaks.append(len(batched))
-    # Results of the certified batched windows; terms 0 marks the others.
-    sums, tails = np.zeros((order, n)), np.zeros((order, n))
-    terms = np.zeros(n, dtype=np.int64)
-    for a, b in zip(breaks, breaks[1:]):
-        idx = batched[a:b]
-        if len(idx):
-            w = _window_pass([fs[i] for i in idx], lo[idx].tolist(),
-                             hi[idx].tolist(), t, tol, order)
-            ok = w.left_ok & w.right_ok
-            sums[:, idx[ok]] = np.array(w.sums)[:, ok]
-            tails[:, idx[ok]] = np.array(w.trunc)[:, ok]
-            terms[idx[ok]] = (hi - lo + 1)[idx[ok]]
-            del w  # before the next chunk's pass is allocated
-    powers = range(1, order + 1)
-    for i, f in enumerate(fs):
-        try:
-            if terms[i]:
-                res = ({k: float(sums[k - 1, i]) for k in powers},
-                       {k: float(tails[k - 1, i]) for k in powers},
-                       int(terms[i]))
-            else:
-                res = _certified_sums(f, tol, order)
-            m = _moments(f, *res, order)
-        except ArithmeticError as exc:
-            m = exc
-        yield m
+    ArithmeticError computing them raised, from _certified_windows with
+    floor t."""
+    t = CappedFunctional.threshold
+    for f, w in zip(fs, _certified_windows(fs, t, tol, order, MAX_TERMS)):
+        if isinstance(w, _Window):
+            try:
+                w = _moments(f, w.sums, w.trunc, w.terms, order)
+            except ArithmeticError as exc:
+                w = exc
+        yield w
 
 
 def _guarded(
@@ -591,9 +568,9 @@ def moments(
     """Certified moments of f(X) up to the given order (1, 2 or 4) from one
     summation pass: moments_many([f], tol, order).
 
-    The sums come from one _certified_window pass with floor t, its tails
-    cut at min(tol/16, 2^-100 * the largest term) for every power, each
-    sum correctly rounded (_exact_sums). The variance is E[f^2] - E[f]^2
+    The sums come from f's _certified_windows window with floor t, its
+    tails cut at min(tol/16, 2^-100 * the largest term) for every power,
+    each sum correctly rounded (_exact_sums). The variance is E[f^2] - E[f]^2
     with the error bound propagated; it has no other route. Order 4 adds
     the fourth central moment E[(f(X) - E f(X))^4], used for variance
     standard-error bands. A higher order can widen the summation window,
@@ -630,10 +607,10 @@ def variance_pairwise(
 ) -> PairwiseVarianceResult:
     """Independent variance oracle: (1/2) sum_{x,y} (f(x)-f(y))^2 p(x)p(y).
 
-    The double sum runs over the engine's window (_certified_window with
-    floor 0, not t, powers 1 and 2 and the _PAIRWISE_TERMS budget), so it is
-    cut where the engine's is, at min(tol/16, 2^-100 * the largest term) on
-    f and f^2: draws with f = 0 still pair against nonzero values and
+    The double sum runs over the engine's window (_certified_windows with
+    floor 0, not t, powers 1 and 2 and the _PAIRWISE_TERMS budget), so it
+    is cut where the engine's is, at min(tol/16, 2^-100 * the largest term)
+    on f and f^2: draws with f = 0 still pair against nonzero values and
     contribute to E[(W - W')^2]. Pairs with a member outside the window are
     bounded via (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2, with the window's f^2
     tails and geometric pmf tails from its edge terms. The sum is over the
@@ -643,16 +620,20 @@ def variance_pairwise(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lam = f.lam
-    if lam == 0.0 or f.cap_a == 0.0:
+    (w,) = _certified_windows([f], 0, tol, 2, _PAIRWISE_TERMS)
+    if isinstance(w, TruncationError):
+        raise w
+    if not w.terms:
         return PairwiseVarianceResult(0.0, 0.0)
 
-    w = _certified_window(f, tol, 0, 2, _PAIRWISE_TERMS)
-    lo, r = w.lo[0], w.r[0]
-    ptail = float(w.p[-1]) / (1.0 - r)
-    ptail += float(w.p[0]) / (1.0 - (lo - 1.0) / lam) if lo > 0 else 0.0
+    # The window's terms and the edge terms its tails read, with the
+    # operations _window_pass applies, so p and f have its bits.
+    lam, lo, edge = f.lam, w.lo, int(w.lo > 0)
+    x, p = _pmf_window(lam, lo - edge, w.hi + 1)
+    ptail = float(p[-1]) / (1.0 - w.r)
+    ptail += float(p[0]) / (1.0 - (lo - 1.0) / lam) if edge else 0.0
 
-    fv, p = w.fv[w.body], w.p[w.body]
+    fv, p = _capped(x[edge:-1], f.cap_a, f.cap_b), p[edge:-1]
     n = len(fv)
     rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
@@ -667,10 +648,9 @@ def variance_pairwise(
         parts.append(2.0 * float(np.sum(block[:, k:])))
     value = 0.5 * math.fsum(parts)
 
-    (s1w,), (s2w,) = w.sums
+    s1w, s2w = w.sums[1], w.sums[2]
     fp = _fp_rel(lam) * (2.0 * s2w + s1w * s1w + value)
-    tail = float(w.trunc[1][0])
-    return PairwiseVarianceResult(value, 4.0 * (tail + ptail * s2w) + fp)
+    return PairwiseVarianceResult(value, 4.0 * (w.trunc[2] + ptail * s2w) + fp)
 
 
 def monte_carlo_moments(

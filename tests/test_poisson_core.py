@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from poissonlab.inequality_lab import default_grid
 from poissonlab.poisson_core import (
     DEFAULT_TOL,
+    MAX_TERMS,
     CappedFunctional,
     ORACLE_POINTS,
     TruncationError,
     _LOG_FACTORIAL,
-    _certified_sums,
+    _certified_windows,
     _log_factorial_series,
     _pmf_window,
     expectation,
@@ -225,7 +226,9 @@ class TestTwoSidedWindow:
         # than the mass. Both sums are correctly rounded, so they differ by
         # at most the dropped tails and two ulps.
         f = CappedFunctional(lam, a, b)
-        sums, trunc, _ = _certified_sums(f, DEFAULT_TOL, order)
+        (w,) = _certified_windows([f], f.threshold, DEFAULT_TOL, order,
+                                  MAX_TERMS)
+        sums, trunc = w.sums, w.trunc
         hi = max(3.0 * lam, f.cap_b + 16, lam + 12.0 * math.sqrt(lam + 1.0))
         if lam > 0.0:
             x, p = _pmf_window(lam, f.threshold, math.ceil(hi) + 48)
@@ -243,8 +246,9 @@ class TestTwoSidedWindow:
     def test_terms_grow_like_sqrt_lambda(self, lam, caps):
         for order in (1, 2, 4):
             f = CappedFunctional(lam, *caps)
-            _, _, terms = _certified_sums(f, DEFAULT_TOL, order)
-            assert terms <= 30.0 * math.sqrt(lam + 1.0) + 64.0, order
+            (w,) = _certified_windows([f], f.threshold, DEFAULT_TOL, order,
+                                      MAX_TERMS)
+            assert w.terms <= 30.0 * math.sqrt(lam + 1.0) + 64.0, order
 
     def test_terms_used_counts_the_window(self):
         # At lam = 1 the window is [threshold, 48]: nothing is dropped on

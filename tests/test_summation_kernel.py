@@ -13,9 +13,11 @@ from poissonlab.poisson_core import (
     MAX_TERMS,
     CappedFunctional,
     TruncationError,
-    _certified_window,
+    _certified_windows,
     _exact_sums,
     _first_window,
+    _pmf_window,
+    functional_value,
     moments,
     moments_many,
 )
@@ -110,23 +112,23 @@ class TestExactSums:
 
 
 def _reference(f, tol, order):
-    """moments(f) from the one-window loop and math.fsum, or its error."""
-    powers = range(1, order + 1)
+    """(moments(f) or its error, the tails of f's window): the window of a
+    one-functional _certified_windows call, re-summed with math.fsum."""
+    (w,) = _certified_windows([f], f.threshold, tol, order, MAX_TERMS)
+    if isinstance(w, TruncationError):
+        return w, {}
+    sums = dict.fromkeys(w.sums, 0.0)
+    if w.terms:
+        x, p = _pmf_window(f.lam, w.lo, w.hi)
+        fv = functional_value(x, f)
+        fpow = np.ones_like(fv)
+        for k in sums:
+            fpow = fpow * fv
+            sums[k] = math.fsum(fpow * p)
     try:
-        if f.lam == 0.0 or f.cap_a == 0.0:
-            sums = trunc = {k: 0.0 for k in powers}
-            n = 0
-        else:
-            w = _certified_window(f, tol, f.threshold, order, MAX_TERMS)
-            fpow, sums = np.ones_like(w.fv), {}
-            for k in powers:
-                fpow = fpow * w.fv
-                sums[k] = math.fsum((fpow * w.p)[w.body])
-            trunc = {k: float(w.trunc[k - 1][0]) for k in powers}
-            n = w.hi[0] - w.lo[0] + 1
-        return poisson_core._moments(f, sums, trunc, n, order)
+        return poisson_core._moments(f, sums, w.trunc, w.terms, order), w.trunc
     except TruncationError as exc:
-        return exc
+        return exc, w.trunc
 
 
 # lam = 0 and a zero cap; an uncapped functional that widens at order 4; a
@@ -148,12 +150,24 @@ class TestMomentsMany:
     @pytest.mark.parametrize("batch", [None, 2**17])
     def test_matches_scalar_reference(self, order, batch):
         # batch 2^17 also lays lam = 5e6's 62,643-term window in a batch.
+        self._check_reference(order, batch, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [None, 2**17])
+    def test_widened_windows_match_scalar_reference(self, order, batch):
+        # At tol 1e-300 every window of a rate > 0 widens, from lam = 1e3 on
+        # on the left side too, and the widened windows share passes.
+        self._check_reference(order, batch, 1e-300)
+
+    def _check_reference(self, order, batch, tol):
         size = batch or poisson_core._BATCH_ELEMENTS
         with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", size):
-            got = list(moments_many(_MIXED, DEFAULT_TOL, order))
+            got = list(moments_many(_MIXED, tol, order))
         assert len(got) == len(_MIXED)
         for f, m in zip(_MIXED, got):
-            ref = _reference(f, DEFAULT_TOL, order)
+            ref, tails = _reference(f, tol, order)
+            # Each side's tail is below tol/16.
+            assert all(t <= tol / 8 for t in tails.values()), f
             if isinstance(ref, Exception):
                 assert type(m) is type(ref), f
                 assert str(m) == str(ref)
@@ -174,6 +188,18 @@ class TestMomentsMany:
         assert "exceeds the variance" in str(got[3])
         assert "budget" in str(got[4])
         assert got[0].mean.terms_used == got[1].mean.terms_used == 0
+
+    def test_stops_at_the_first_error(self):
+        # bad's window is wider than a batch, so it takes a pass of its own,
+        # and its variance fails the guard: the first result is known after
+        # one pass, and the wide windows after it are not summed.
+        bad = CappedFunctional(419430400.0, 2048.0, 2048.0)
+        spy = mock.patch.object(poisson_core, "_window_pass",
+                                wraps=poisson_core._window_pass)
+        with spy as passes:
+            first = next(moments_many([bad] * 3, DEFAULT_TOL, 2))
+        assert "exceeds the variance" in str(first)
+        assert passes.call_count == 1
 
     def test_failure_stays_with_its_functional(self):
         good = CappedFunctional(10.0, 2.0, 4.0)

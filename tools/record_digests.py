@@ -46,6 +46,10 @@ RECORDS = {
     "certify lemma1 mixed batch": ["certify", "lemma1", "--lambda",
                                    "0,0.3,1,1e4,5e6", "--caps", "2,4",
                                    "--caps", "1e6,1e6"],
+    # Every window widens at this tolerance, at lambda 1e4 on the left too.
+    "certify lemma1 tol 1e-300": ["certify", "lemma1", "--tol", "1e-300",
+                                  "--lambda", "1,100,1e4", "--caps", "2,4",
+                                  "--caps", "64,64"],
     "falsify target 50": ["falsify", "--target", "50"],
     "falsify target 1e9": ["falsify", "--target", "1e9"],
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
