@@ -19,6 +19,7 @@ from .poisson_core import (
     DEFAULT_TOL,
     DENOMINATOR_FLOOR,
     CappedFunctional,
+    _capped,
     moments_many,
 )
 from .inequality_lab import SkippedPoint
@@ -98,16 +99,6 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
     )
 
 
-def _contribution(sigma, model: DStatisticModel, w: float):
-    s = np.asarray(sigma, dtype=np.float64)
-    return (
-        w
-        * s
-        * np.sqrt(np.minimum(s, model.cap_a) * np.minimum(s, model.cap_b))
-        * (s >= CappedFunctional.threshold)
-    )
-
-
 def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult:
     """Sample mean/variance over seeded replications, with standard errors
     from the same draws (variance SE via the fourth central moment)."""
@@ -120,7 +111,7 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult
         if w == 0.0 or rate == 0.0:
             continue
         sigma = _slice_rng(seed, z).poisson(rate, size=replications)
-        totals += _contribution(sigma, model, w)
+        totals += w * _capped(sigma.astype(np.float64), model.cap_a, model.cap_b)
     mean_hat = float(totals.mean())
     var_hat = float(totals.var(ddof=1))
     se_mean = math.sqrt(var_hat / replications)
@@ -130,9 +121,9 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult
     return MCResult(replications, mean_hat, var_hat, se_mean, se_var)
 
 
-def variance_mean_ratio(model: DStatisticModel, tol: float = DEFAULT_TOL) -> float:
+def variance_mean_ratio(model: DStatisticModel) -> float:
     """Var/E of the weighted statistic; degenerate models are skipped."""
-    return exact_moments(model, tol).variance_mean_ratio()
+    return exact_moments(model).variance_mean_ratio()
 
 
 @dataclass(frozen=True)
@@ -153,5 +144,5 @@ class ChainCheck:
     quarter_step_ok: bool
 
 
-def bound_chain_check(model: DStatisticModel, tol: float = DEFAULT_TOL) -> ChainCheck:
-    return exact_moments(model, tol).chain_check()
+def bound_chain_check(model: DStatisticModel) -> ChainCheck:
+    return exact_moments(model).chain_check()

@@ -128,15 +128,15 @@ RATIO_KINDS = {
 }
 
 
-def _kind_moments(which, lams, a, b, tol) -> list:
-    """For each rate, the Moments of the kind's functional there or the
-    error computing them raised, from one moments_many call."""
+def _kind_moments(which, points, tol):
+    """Yields, for each (lam, a, b) of points in order, the Moments of the
+    kind's functional there or the error computing them raised, from one
+    lazy moments_many call: a consumer that stops early sums no more."""
     order, caps, _ = RATIO_KINDS[which]
-    caps = caps or (float(a), float(b))
     fs = []
-    for lam in lams:
+    for lam, a, b in points:
         try:
-            fs.append(CappedFunctional(lam, *caps))
+            fs.append(CappedFunctional(lam, *(caps or (float(a), float(b)))))
         except ValueError as exc:  # a negative rate
             fs.append(exc)
     try:
@@ -144,7 +144,7 @@ def _kind_moments(which, lams, a, b, tol) -> list:
                           tol, order)
     except ValueError as exc:  # a tolerance <= 0
         ms = itertools.repeat(exc)
-    return [f if isinstance(f, Exception) else next(ms) for f in fs]
+    return (f if isinstance(f, Exception) else next(ms) for f in fs)
 
 
 def _point_ratio(which, lam, a, b, m):
@@ -158,7 +158,7 @@ def _point_ratio(which, lam, a, b, m):
 
 def _ratio(which, lam, a, b, tol):
     """(ratio, numerator, denominator) of a ratio kind at one point."""
-    (m,) = _kind_moments(which, [lam], a, b, tol)
+    (m,) = _kind_moments(which, [(lam, a, b)], tol)
     return _point_ratio(which, lam, a, b, m)
 
 
@@ -184,47 +184,39 @@ class WitnessSearch:
     trail: tuple  # ((k, lam, ratio), ...) along the schedule a=b=k, lam=100k^2
 
 
-def find_counterexample(target_ratio: float, k_max: int = 2**20) -> WitnessSearch:
-    """Search the schedule a=b=k, lam=100*k^2 (k doubling from 4) for a point
-    whose plain Var/E ratio reaches the target.
+def find_counterexample(target_ratio: float) -> WitnessSearch:
+    """Search the schedule a=b=k, lam=100*k^2 (k = 4, 8, ..., 2^20) for a
+    point whose plain Var/E ratio reaches the target.
 
     The normal approximation at lam >> b makes the ratio scale like
     sqrt(a*b) = k, so the search terminates for any reachable target. A
     TruncationError (the term budget, or a variance whose certified bound
-    exceeds it) ends the search with the best witness found.
+    exceeds it) ends the search with the best witness found. The schedule
+    is one lazy moments_many call, so the windows after the point where
+    the search stops are never summed.
     """
     if target_ratio <= 0:
         raise ValueError("target ratio must be positive")
     trail = []
-    best = None
-    k = 4
-    while k <= k_max:
-        lam = 100.0 * k * k
+    points = [(100.0 * k * k, k, k) for k in (2**i for i in range(2, 21))]
+    ms = _kind_moments("original", points, DEFAULT_TOL)
+    for (lam, k, _), m in zip(points, ms):
         try:
-            ratio = original_ratio(lam, float(k), float(k))
+            ratio = _point_ratio("original", lam, k, k, m)[0]
         except TruncationError:
             break
         trail.append((k, lam, ratio))
-        if best is None or ratio > best[2]:
-            best = (k, lam, ratio)
         if ratio >= target_ratio:
             return WitnessSearch(True, lam, float(k), float(k), ratio, tuple(trail))
-        k *= 2
-    if best is None:
+    if not trail:
         return WitnessSearch(False, math.nan, math.nan, math.nan, math.nan, ())
-    return WitnessSearch(
-        False, best[1], float(best[0]), float(best[0]), best[2], tuple(trail)
-    )
+    k, lam, ratio = max(trail, key=lambda t: t[2])  # the first best
+    return WitnessSearch(False, lam, float(k), float(k), ratio, tuple(trail))
 
 
 def indicator_ratio(lam: float, tol: float = DEFAULT_TOL) -> float:
     """Var[X 1(X>=4)] / E[X 1(X>=4)]."""
     return _ratio("claim21", lam, math.inf, math.inf, tol)[0]
-
-
-def mean_lower_ratio(lam: float, a, b, tol: float = DEFAULT_TOL) -> float:
-    """E[f(X)] / min(lam*sqrt(min(lam,a)*min(lam,b)), lam^4), integer caps >= 2."""
-    return _ratio("claim23", lam, a, b, tol)[0]
 
 
 def h_function(lam: float) -> float:
@@ -254,11 +246,11 @@ def h_function(lam: float) -> float:
 _GOLDEN = 0.61803399
 
 
-def _golden_section(fn, xa, xb, xc, xtol=1e-12, maxiter=5000):
+def _golden_section(fn, xa, xb, xc):
     """(min value, minimizer) of fn by golden section on xa < xb < xc.
 
-    Same bracket setup, update rule and |x3 - x0| <= xtol * (|x1| + |x2|)
-    stop as minimize_scalar(method="golden").
+    Same bracket setup, update rule, stop and 5000-step limit as
+    minimize_scalar(method="golden", options={"xtol": 1e-12}).
     """
     g_c = 1.0 - _GOLDEN
     x0, x3 = xa, xc
@@ -267,8 +259,8 @@ def _golden_section(fn, xa, xb, xc, xtol=1e-12, maxiter=5000):
     else:
         x1, x2 = xb - g_c * (xb - xa), xb
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(maxiter):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
             break
         if f2 < f1:
             x0, x1, x2 = x1, x2, _GOLDEN * x2 + g_c * x3
@@ -340,7 +332,7 @@ def default_grid(
 
 def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     """Evaluate the chosen ratio at every grid point, in (lambda, caps) order,
-    from one moments_many call per cap pair.
+    from one moments_many call over the whole grid in that order.
 
     threads is accepted for compatibility and ignored: evaluation is
     single-threaded. Ratio ties in the extrema are broken by the
@@ -349,20 +341,18 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     if which not in RATIO_KINDS:
         raise ValueError(f"unknown sweep kind {which!r}")
     cert = RatioCertificate(which=which, tol=grid.tol)
-    lams = grid.lambda_points
-    columns = [_kind_moments(which, lams, a, b, grid.tol)
-               for a, b in grid.cap_pairs]
-    for i, lam in enumerate(lams):
-        for (a, b), column in zip(grid.cap_pairs, columns):
-            try:
-                ratio, num, den = _point_ratio(which, lam, a, b, column[i])
-            except SkippedPoint as exc:
-                cert.skipped.append((lam, a, b, str(exc)))
-            except (ArithmeticError, ValueError) as exc:
-                cert.errored += 1
-                cert.skipped.append((lam, a, b, f"{type(exc).__name__}: {exc}"))
-            else:
-                cert.records.append(RatioRecord(lam, a, b, num, den, ratio))
+    points = [(lam, a, b) for lam in grid.lambda_points
+              for a, b in grid.cap_pairs]
+    for (lam, a, b), m in zip(points, _kind_moments(which, points, grid.tol)):
+        try:
+            ratio, num, den = _point_ratio(which, lam, a, b, m)
+        except SkippedPoint as exc:
+            cert.skipped.append((lam, a, b, str(exc)))
+        except (ArithmeticError, ValueError) as exc:
+            cert.errored += 1
+            cert.skipped.append((lam, a, b, f"{type(exc).__name__}: {exc}"))
+        else:
+            cert.records.append(RatioRecord(lam, a, b, num, den, ratio))
 
     if cert.records:
         sup = min(cert.records, key=lambda r: (-r.ratio, r.key()))
@@ -372,22 +362,21 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     return cert
 
 
-def plateau_check(
-    cap_pairs, lam_lo: float = 1e3, lam_hi: float = 1e4,
-    rel_tol: float = 0.10, tol: float = DEFAULT_TOL,
-) -> bool:
+def plateau_check(cap_pairs, tol: float = DEFAULT_TOL) -> bool:
     """Corrected-ratio plateau: for each pair with a, b >= 1 and a finite
-    correction factor the ratio moves by less than rel_tol (relative)
-    between lam_lo and lam_hi. A pair whose ratio cannot be evaluated
-    there shows no plateau."""
-    for a, b in cap_pairs:
-        if min(a, b) < 1.0 or not math.isfinite(correction_factor(a, b)):
-            continue
-        try:
-            r_lo, _, _ = corrected_ratio(lam_lo, a, b, tol)
-            r_hi, _, _ = corrected_ratio(lam_hi, a, b, tol)
-        except (ArithmeticError, ValueError):
-            return False
-        if not abs(r_hi - r_lo) < rel_tol * r_lo:
-            return False
+    correction factor the ratio moves by less than 10% (relative) between
+    lambda = 1e3 and 1e4. The points come from one lazy moments_many call,
+    read up to the first pair without a plateau; a pair whose ratio cannot
+    be evaluated there shows none."""
+    points = [(lam, a, b) for a, b in cap_pairs
+              if min(a, b) >= 1.0 and math.isfinite(correction_factor(a, b))
+              for lam in (1e3, 1e4)]
+    ratios = (_point_ratio("corrected", *point, m)[0] for point, m in
+              zip(points, _kind_moments("corrected", points, tol)))
+    try:
+        for r_lo, r_hi in zip(ratios, ratios):  # consecutive: 1e3, then 1e4
+            if not abs(r_hi - r_lo) < 0.10 * r_lo:
+                return False
+    except (ArithmeticError, ValueError):
+        return False
     return True

@@ -125,25 +125,6 @@ class MonteCarloMoments:
     draws: int
 
 
-def log_pmf(lam: float, x: int) -> float:
-    """log of the Poisson pmf, computed in log space via log-gamma.
-
-    lambda = 0 is the point mass at 0: returns 0.0 at x = 0 and -inf
-    otherwise.
-    """
-    if lam < 0:
-        raise ValueError(f"rate must be >= 0, got {lam}")
-    if x < 0 or x != int(x):
-        raise ValueError(f"count must be a nonnegative integer, got {x}")
-    if lam == 0.0:
-        return 0.0 if x == 0 else -math.inf
-    return x * math.log(lam) - lam - math.lgamma(x + 1.0)
-
-
-def pmf(lam: float, x: int) -> float:
-    return math.exp(log_pmf(lam, x))
-
-
 def _capped(x: np.ndarray, cap_a, cap_b) -> np.ndarray:
     """x*sqrt(min(x,a)*min(x,b))*1(x >= t) on a float array; the caps are
     scalars or arrays of the same length."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poissonlab
-from poissonlab import poisson_core
+from poissonlab import cli, poisson_core
 from poissonlab.ci_model import build_model, generate_null, perturb
 from poissonlab.cli import (
     EX_NUMERIC, EX_OK, EX_PREDICATE, EX_USAGE, UsageError, build_parser, main,
@@ -376,6 +376,29 @@ class TestOneSummationPass:
         code, _ = run_json(capsys, "oracle-check", "--draws", "1000")
         assert code == EX_OK
         assert len(summation_calls) == len(poisson_core.ORACLE_POINTS)
+
+    def test_oracle_check_one_batch(self, capsys, monkeypatch):
+        calls = []
+        batched = poisson_core._batched_moments
+
+        def batch(fs, *args):
+            calls.append(len(fs))
+            return batched(fs, *args)
+
+        monkeypatch.setattr(poisson_core, "_batched_moments", batch)
+        run_json(capsys, "oracle-check", "--draws", "2")
+        assert calls == [len(poisson_core.ORACLE_POINTS)]
+
+    def test_oracle_check_failure_writes_no_record(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The second point's variance fails the guard: the first error
+        # raised ends the command, before any record is written.
+        monkeypatch.setattr(cli, "ORACLE_POINTS",
+                            ((10.0, 2.0, 4.0), (5e6, 2.0, 4.0)))
+        out = tmp_path / "out"
+        code = main(["oracle-check", "--draws", "2", "--out", str(out)])
+        assert code == EX_NUMERIC and not out.exists()
+        assert "exceeds the variance" in capsys.readouterr().err
 
 
 def test_import_leaves_out_optimizer_and_thread_pool():

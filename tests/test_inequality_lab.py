@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from poissonlab import poisson_core
 from poissonlab.inequality_lab import (
     GridSpec,
     SkippedPoint,
     _golden_section,
+    _ratio,
     correction_factor,
     corrected_ratio,
     default_grid,
@@ -15,11 +17,17 @@ from poissonlab.inequality_lab import (
     h_function,
     h_infimum,
     indicator_ratio,
-    mean_lower_ratio,
     original_ratio,
     plateau_check,
     sweep,
 )
+from poissonlab.poisson_core import DEFAULT_TOL
+
+
+def mean_lower_ratio(lam, a, b):
+    """E[f(X)] / min(lam*sqrt(min(lam,a)*min(lam,b)), lam^4), integer caps >= 2."""
+    return _ratio("claim23", lam, a, b, DEFAULT_TOL)[0]
+
 
 # Frozen values produced by the engine and cross-checked against the
 # asymptotic forms Var ~ lam*a*b, E ~ lam*sqrt(ab) for lam >> b.
@@ -200,6 +208,47 @@ def test_sweep_one_summation_pass_per_point(summation_calls):
     cert = sweep(g, "corrected")
     assert len(cert.records) == 4
     assert len(summation_calls) == 4
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """Spies on the summation engine: the number of functionals of each
+    _batched_moments call, and the largest rate of each _window_pass."""
+    calls, passes = [], []
+    batched, window_pass = poisson_core._batched_moments, poisson_core._window_pass
+
+    def batch(fs, *args):
+        calls.append(len(fs))
+        return batched(fs, *args)
+
+    def one_pass(fs, *args):
+        passes.append(max(f.lam for f in fs))
+        return window_pass(fs, *args)
+
+    monkeypatch.setattr(poisson_core, "_batched_moments", batch)
+    monkeypatch.setattr(poisson_core, "_window_pass", one_pass)
+    return calls, passes
+
+
+def test_sweep_one_batch_on_default_grid(engine):
+    calls, _ = engine
+    grid = default_grid("lemma1")
+    sweep(grid, "corrected")
+    assert calls == [len(grid.lambda_points) * len(grid.cap_pairs)]
+
+
+def test_plateau_one_batch_on_default_grid(engine):
+    calls, _ = engine
+    assert plateau_check(default_grid("lemma1").cap_pairs)
+    assert calls == [42]  # 21 pairs with both caps >= 1, at 1e3 and 1e4
+
+
+def test_witness_walk_sums_nothing_past_the_witness(engine):
+    calls, passes = engine
+    assert find_counterexample(50.0).found  # at k = 64, lambda = 409,600
+    assert len(calls) == 1
+    assert len(passes) <= 2
+    assert max(passes) <= 409600.0
 
 
 def test_claim21_grid_ignores_caps():

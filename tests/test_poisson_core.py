@@ -22,13 +22,31 @@ from poissonlab.poisson_core import (
     expectation,
     fourth_central_moment,
     functional_value,
-    log_pmf,
     moments,
     monte_carlo_moments,
-    pmf,
     variance,
     variance_pairwise,
 )
+
+
+def log_pmf(lam: float, x: int) -> float:
+    """Scalar reference: log of the Poisson pmf via log-gamma.
+
+    lambda = 0 is the point mass at 0: returns 0.0 at x = 0 and -inf
+    otherwise.
+    """
+    if lam < 0:
+        raise ValueError(f"rate must be >= 0, got {lam}")
+    if x < 0 or x != int(x):
+        raise ValueError(f"count must be a nonnegative integer, got {x}")
+    if lam == 0.0:
+        return 0.0 if x == 0 else -math.inf
+    return x * math.log(lam) - lam - math.lgamma(x + 1.0)
+
+
+def pmf(lam: float, x: int) -> float:
+    return math.exp(log_pmf(lam, x))
+
 
 # Frozen reference values, computed independently with 40-digit arithmetic
 # (mpmath) by direct summation over a very wide window.

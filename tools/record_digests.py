@@ -50,6 +50,10 @@ RECORDS = {
     "certify lemma1 tol 1e-300": ["certify", "lemma1", "--tol", "1e-300",
                                   "--lambda", "1,100,1e4", "--caps", "2,4",
                                   "--caps", "64,64"],
+    # A finite correction factor of 1e304 overflows the ratio at 1e3: no
+    # plateau, exit 2.
+    "certify lemma1 plateau fails": ["certify", "lemma1", "--lambda", "1",
+                                     "--caps", "1e152,1e152"],
     "falsify target 50": ["falsify", "--target", "50"],
     "falsify target 1e9": ["falsify", "--target", "1e9"],
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
