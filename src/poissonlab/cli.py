@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract: 0 success/certified, 2 predicate failed,
 64 usage error, 70 internal numeric failure. All randomness flows from the
---seed flag; outputs embed their full run configuration (minus the thread
-count, which never affects results) so runs can be replayed byte-for-byte.
+--seed flag; outputs embed their full run configuration so runs can be
+replayed byte-for-byte. --threads (default: the CPU count) sets how many
+threads the Monte Carlo checks of simulate-d and oracle-check draw on; it
+never affects a result and stays out of the configuration.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -23,6 +26,7 @@ from .poisson_core import (
     CappedFunctional,
     moments_many,
     monte_carlo_moments,
+    thread_map,
     variance_pairwise,
 )
 from . import ci_model, d_statistic, inequality_lab, sample_complexity
@@ -38,6 +42,8 @@ MAP_MAX_POINTS = 10**4
 # Largest size flag (--reps, --draws, --grid-points, simulate-d's --n, --l1,
 # --l2) and simulate-d l1*l2*n table, checked before anything is allocated.
 MAX_SIZE = 10**7
+# Most --threads; the default is the CPU count, up to this.
+MAX_THREADS = 64
 
 # CSV columns of the certify records and of the simulate-d slices.
 CERTIFY_COLUMNS = ("lambda", "a", "b", "numerator", "denominator", "ratio")
@@ -73,7 +79,7 @@ def _emit(args, body: dict, columns=None, rows=None) -> None:
     """Write the record: JSON, or with --format csv and a table, a header
     of the columns and one line per row (repr for floats, str otherwise).
     The JSON config is every parsed value but the subcommand, its handler,
-    where the record goes and the ignored thread count."""
+    where the record goes and the thread count, which moves no result."""
     if args.format == "csv" and columns is not None:
         lines = [columns] + [[row[c] for c in columns] for row in rows]
         text = "".join(
@@ -119,6 +125,14 @@ def _bounded_int(lo: int, hi: float = MAX_SIZE):
                 f"must lie in [{lo}, {hi}], got {text!r}")
         return value
     return integer
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _range(text: str) -> tuple:
@@ -216,7 +230,7 @@ def cmd_simulate_d(args) -> int:
         joint = ci_model.perturb(joint, args.magnitude, args.seed)
     model = ci_model.build_model(joint, args.m)
     exact = d_statistic.exact_moments(model, args.tol)
-    mc = d_statistic.mc_moments(model, args.reps, args.seed)
+    mc = d_statistic.mc_moments(model, args.reps, args.seed, args.threads)
     chain = exact.chain_check()
     try:
         ratio = exact.variance_mean_ratio()
@@ -288,16 +302,25 @@ def cmd_h(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     fs = [CappedFunctional(*point) for point in ORACLE_POINTS]
+    ms = list(moments_many(fs, args.tol, 4))
+    # The oracles run on the points before the first whose moments failed,
+    # so an error is raised for the same point as in a one-thread loop.
+    failed = next((i for i, m in enumerate(ms)
+                   if isinstance(m, ArithmeticError)), len(ms))
+
+    def oracles(idx):
+        f = fs[idx]
+        return (variance_pairwise(f, args.tol),
+                monte_carlo_moments(f, args.draws, args.seed + idx))
+
+    checks = thread_map(oracles, range(failed), args.threads)
+    if failed < len(ms):
+        raise ms[failed]
     points = []
     all_ok = True
-    ms = moments_many(fs, args.tol, 4)
-    for idx, ((lam, a, b), f, m) in enumerate(zip(ORACLE_POINTS, fs, ms)):
-        if isinstance(m, ArithmeticError):
-            raise m
+    for (lam, a, b), m, (pw, mc) in zip(ORACLE_POINTS, ms, checks):
         e, v, mu4 = m.mean, m.variance, m.mu4
-        pw = variance_pairwise(f, args.tol)
         triangle_ok = abs(v.value - pw.value) <= v.tail_bound + pw.tail_bound
-        mc = monte_carlo_moments(f, args.draws, args.seed + idx)
         se_mean = math.sqrt(v.value / args.draws)
         se_var = math.sqrt(max(mu4.value - v.value**2, 0.0) / args.draws)
         mean_ok = abs(mc.mean - e.value) <= 4.0 * se_mean + e.tail_bound
@@ -323,8 +346,10 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+        p.add_argument("--threads", type=_bounded_int(1, MAX_THREADS),
+                       default=min(MAX_THREADS, _cpu_count()),
+                       help="threads for the Monte Carlo checks (default: "
+                            "the CPU count); no result depends on it")
 
     # Only the commands that read them take --seed and --tol.
     seed = {"type": _bounded_int(0, math.inf), "default": 1}

@@ -21,8 +21,12 @@ from .poisson_core import (
     CappedFunctional,
     _capped,
     moments_many,
+    thread_map,
 )
 from .inequality_lab import SkippedPoint
+
+# Monte Carlo contributions per block (512 KiB of float64).
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ class MCResult:
 
 
 def _slice_rng(seed: int, z: int) -> np.random.Generator:
-    # Per-slice streams derived from the root seed keep every output
-    # independent of evaluation order and thread count.
+    # Per-slice streams derived from the root seed: a slice's draws do not
+    # depend on which thread takes them, or when.
     return np.random.default_rng(np.random.SeedSequence([seed, z]))
 
 
@@ -99,19 +103,48 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
     )
 
 
-def mc_moments(model: DStatisticModel, replications: int, seed: int) -> MCResult:
+def _fill(block):
+    """The weighted functional of each slice stream in block at its next
+    `size` draws: one row per slice."""
+    streams, size, cap_a, cap_b = block
+    return [w * _capped(rng.poisson(rate, size=size).astype(np.float64),
+                        cap_a, cap_b)
+            for w, rate, rng in streams]
+
+
+def mc_moments(model: DStatisticModel, replications: int, seed: int,
+               threads: int = 1) -> MCResult:
     """Sample mean/variance over seeded replications, with standard errors
-    from the same draws (variance SE via the fourth central moment)."""
+    from the same draws (variance SE via the fourth central moment).
+
+    Replication r's total is the sum, in slice order, of each slice's
+    weighted functional at the r-th draw of its _slice_rng stream. The
+    contributions come in blocks of at most _BLOCK_ELEMENTS: whole slices
+    when the replications fit, else one slice's next run of draws. Up to
+    `threads` threads fill one block each per round, and the caller adds
+    the rows into the totals in slice order, so every bit of the result is
+    the same for any thread count.
+    """
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    slices = [(float(w), float(rate), z)
+              for z, (w, rate) in enumerate(zip(model.weights, model.rates))
+              if w != 0.0 and rate != 0.0]
+    cols = min(replications, _BLOCK_ELEMENTS)
+    per_block = _BLOCK_ELEMENTS // cols
+    groups = [slices[i : i + per_block]
+              for i in range(0, len(slices), per_block)]
     totals = np.zeros(replications)
-    for z in range(model.n):
-        w = float(model.weights[z])
-        rate = float(model.rates[z])
-        if w == 0.0 or rate == 0.0:
-            continue
-        sigma = _slice_rng(seed, z).poisson(rate, size=replications)
-        totals += w * _capped(sigma.astype(np.float64), model.cap_a, model.cap_b)
+    for g in range(0, len(groups), threads):
+        streams = [[(w, rate, _slice_rng(seed, z)) for w, rate, z in group]
+                   for group in groups[g : g + threads]]
+        for c0 in range(0, replications, cols):
+            size = min(cols, replications - c0)
+            blocks = [(group, size, model.cap_a, model.cap_b)
+                      for group in streams]
+            for rows in thread_map(_fill, blocks, threads):
+                for row in rows:
+                    totals[c0 : c0 + size] += row
     mean_hat = float(totals.mean())
     var_hat = float(totals.var(ddof=1))
     se_mean = math.sqrt(var_hat / replications)

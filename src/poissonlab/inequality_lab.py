@@ -42,6 +42,8 @@ class GridSpec:
             raise ValueError("grid must have at least one rate and one cap pair")
         if any(not math.isfinite(l) for l in self.lambda_points):
             raise ValueError("rates must be finite")
+        if not self.tol > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tol}")
         for a, b in self.cap_pairs:
             if not (a >= 0 and b >= 0 and a <= b):
                 raise ValueError(f"cap pair must satisfy 0 <= a <= b, got {(a, b)}")
@@ -334,9 +336,9 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     """Evaluate the chosen ratio at every grid point, in (lambda, caps) order,
     from one moments_many call over the whole grid in that order.
 
-    threads is accepted for compatibility and ignored: evaluation is
-    single-threaded. Ratio ties in the extrema are broken by the
-    lexicographically smallest (lambda, a, b).
+    threads is accepted for compatibility and ignored: the sweep's one
+    batch runs on the calling thread. Ratio ties in the extrema are broken
+    by the lexicographically smallest (lambda, a, b).
     """
     if which not in RATIO_KINDS:
         raise ValueError(f"unknown sweep kind {which!r}")

@@ -7,12 +7,14 @@ certified absolute error bound (truncation tail plus a propagated
 floating-point roundoff term). An independent pairwise-difference variance
 oracle (Var[W] = E[(W - W')^2]/2, summed over the same window) and a seeded
 Monte Carlo cross-check (numpy's sampler, evaluated on the draw histogram)
-are provided for dual-route validation.
+are provided for dual-route validation; thread_map runs such independent
+checks on several threads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -533,12 +535,12 @@ def moments_many(fs, tol: float = DEFAULT_TOL, order: int = 2) -> Iterator:
     or the ArithmeticError (a TruncationError, say) that moments raises for
     it, so one functional's failure never fails the others. Every sum is
     correctly rounded, so each entry's bits do not depend on the batch it
-    came in. An order outside (1, 2, 4) or a tolerance <= 0 raises
-    ValueError for the whole batch.
+    came in. An order outside (1, 2, 4) or a tolerance that is not
+    positive, NaN included, raises ValueError for the whole batch.
     """
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, got {order}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     return _batched_moments(list(fs), tol, order)
 
@@ -599,7 +601,7 @@ def variance_pairwise(
     the engine's E[f^2] - E[f]^2. A window wider than _PAIRWISE_TERMS raises
     TruncationError before anything is allocated.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     (w,) = _certified_windows([f], 0, tol, 2, _PAIRWISE_TERMS)
     if isinstance(w, TruncationError):
@@ -634,34 +636,110 @@ def variance_pairwise(
     return PairwiseVarianceResult(value, 4.0 * (w.trunc[2] + ptail * s2w) + fp)
 
 
+# Draws per chunk of the Monte Carlo sampler (512 KiB of int64).
+_MC_CHUNK = 2**16
+
+
+def _draw_counts(rng, lam: float, draws: int):
+    """(seen, counts): the distinct values of `draws` Poisson(lam) draws from
+    rng, sorted, and how often each was drawn.
+
+    The draws are taken in chunks of _MC_CHUNK. numpy's sampler gives the
+    same stream in chunks as in one call, so the result is that of one call.
+    While the values drawn span fewer than `draws` integers, each chunk is
+    added into one bincount over that span; once they span more, each
+    chunk's sorted counts are kept and merged at the end. Nothing is larger
+    than O(draws).
+    """
+    lo, hi = math.inf, -math.inf
+    hist, parts = None, []
+    for start in range(0, draws, _MC_CHUNK):
+        xs = rng.poisson(lam, size=min(_MC_CHUNK, draws - start))
+        cmin, cmax = int(xs.min()), int(xs.max())
+        lo, hi = min(lo, cmin), max(hi, cmax)
+        if hi - lo >= draws:
+            if hist is not None:
+                seen = np.flatnonzero(hist)
+                parts.append((seen + base, hist[seen]))
+                hist = None
+            parts.append(np.unique(xs, return_counts=True))
+            continue
+        if hist is None or lo < base or hi >= base + len(hist):
+            grown = np.zeros(hi - lo + 1, dtype=np.int64)
+            if hist is not None:
+                grown[base - lo : base - lo + len(hist)] = hist
+            base, hist = lo, grown
+        hist[cmin - base : cmax - base + 1] += np.bincount(xs - cmin)
+    if hist is not None:
+        seen = np.flatnonzero(hist)
+        return seen + base, hist[seen]
+    seen, where = np.unique(np.concatenate([v for v, _ in parts]),
+                            return_inverse=True)
+    counts = np.bincount(where, np.concatenate([c for _, c in parts]))
+    return seen, counts.astype(np.int64)
+
+
 def monte_carlo_moments(
     f: CappedFunctional, draws: int, seed: int
 ) -> MonteCarloMoments:
     """Seeded sample mean and variance of f(X) over independent draws.
 
     The draws come from numpy's Poisson sampler, never from the pmf this
-    module certifies. f is evaluated once per distinct value drawn: with
-    counts c(x), the mean is fsum(c f) / N and the variance is the two-pass
-    fsum(c (f - mean)^2) / (N - 1). The counts come from a bincount when the
-    draws span at most N values, so it is never larger than the draws
-    themselves, and from a sort otherwise.
+    module certifies, and are counted in chunks (_draw_counts). f is
+    evaluated once per distinct value drawn: with counts c(x), the mean is
+    fsum(c f) / N and the variance is the two-pass fsum(c (f - mean)^2) /
+    (N - 1).
     """
     if draws < 2:
         raise ValueError("need at least 2 draws")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xs = rng.poisson(f.lam, size=draws)
-    base = int(xs.min())
-    if int(xs.max()) - base < draws:
-        xs -= base
-        counts = np.bincount(xs)
-        seen = np.flatnonzero(counts)
-        counts, seen = counts[seen], seen + base
-    else:
-        seen, counts = np.unique(xs, return_counts=True)
+    seen, counts = _draw_counts(rng, f.lam, draws)
     vals = functional_value(seen, f)
     mean = math.fsum(counts * vals) / draws
     var = math.fsum(counts * (vals - mean) ** 2) / (draws - 1)
     return MonteCarloMoments(mean, var, draws)
+
+
+def thread_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], computed on at most `threads` threads,
+    the caller's among them, and never on more threads than items.
+
+    Results come back in item order. Items are handed out in order, and
+    none is started once one has raised; after every thread has ended, the
+    exception of the first item that raised, in item order, is re-raised
+    here, as the one-thread loop would raise it. With threads <= 1 or one
+    item no thread is started.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(threads, len(items)) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # Pinned dual-route check points (lam, cap_a, cap_b), spanning rates from

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -399,6 +400,73 @@ class TestOneSummationPass:
         code = main(["oracle-check", "--draws", "2", "--out", str(out)])
         assert code == EX_NUMERIC and not out.exists()
         assert "exceeds the variance" in capsys.readouterr().err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ("0", "-1", "1e300", "65", HUGE))
+    def test_bounded_at_parse_time(self, capsys, monkeypatch, value):
+        # Parsing alone: no thread may start.
+        monkeypatch.setattr(threading.Thread, "start", None)
+        assert run(capsys, "oracle-check", "--draws", "2", "--threads",
+                   value) == (EX_USAGE, "")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_default_is_the_cpu_count(self):
+        args = build_parser().parse_args(["oracle-check"])
+        assert args.threads == min(64, len(os.sched_getaffinity(0)))
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        # seed -> MonteCarloMoments of every oracle-check point, and the
+        # number of threads started.
+        seen, started = {}, []
+        sample = cli.monte_carlo_moments
+
+        def spy(f, draws, seed):
+            seen[seed] = sample(f, draws, seed)
+            return seen[seed]
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(cli, "monte_carlo_moments", spy)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return seen, started
+
+    def test_oracle_points_same_bits_for_any_thread_count(self, capsys, draws):
+        seen, started = draws
+        runs = []
+        for threads in ("1", "2", "3"):
+            seen.clear()
+            started.clear()
+            code, out = run(capsys, "oracle-check", "--draws", "70001",
+                            "--threads", threads)
+            assert code == EX_OK
+            # The caller is one of the threads.
+            assert len(started) == int(threads) - 1
+            runs.append((dict(seen), out))
+        assert len(runs[0][0]) == len(poisson_core.ORACLE_POINTS)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("threads", ("1", "3"))
+    def test_worker_error_reaches_the_caller(self, tmp_path, capsys,
+                                             monkeypatch, threads):
+        pairwise = cli.variance_pairwise
+
+        def fail_at_5000(f, tol):
+            if f.lam == 5000.0:
+                raise poisson_core.TruncationError("pairwise failed at 5000")
+            return pairwise(f, tol)
+
+        monkeypatch.setattr(cli, "variance_pairwise", fail_at_5000)
+        out = tmp_path / "out"
+        code = main(["oracle-check", "--draws", "2", "--threads", threads,
+                     "--out", str(out)])
+        assert code == EX_NUMERIC and not out.exists()
+        assert "pairwise failed at 5000" in capsys.readouterr().err
 
 
 def test_import_leaves_out_optimizer_and_thread_pool():

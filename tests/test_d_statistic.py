@@ -7,12 +7,18 @@ import pytest
 
 from poissonlab.ci_model import DStatisticModel, build_model, generate_null, perturb
 from poissonlab.d_statistic import (
+    _slice_rng,
     bound_chain_check,
     exact_moments,
     mc_moments,
     variance_mean_ratio,
 )
-from poissonlab.poisson_core import CappedFunctional, expectation, variance
+from poissonlab.poisson_core import (
+    CappedFunctional,
+    _capped,
+    expectation,
+    variance,
+)
 
 
 def _single_slice(lam, weight, l1=2, l2=2):
@@ -95,6 +101,28 @@ class TestSampling:
         a = mc_moments(model, 5_000, seed=11)
         b = mc_moments(model, 5_000, seed=11)
         assert a.mean_hat == b.mean_hat and a.var_hat == b.var_hat
+
+
+    # 3000 replications: 21 whole slices per block, 50 slices in three
+    # blocks. 70001: two blocks per slice, the second of 4465. At m = 1e5
+    # most slices add to every total, so adding them out of slice order
+    # moves the bits.
+    @pytest.mark.parametrize("reps", (3000, 70_001))
+    def test_mc_bits_do_not_depend_on_threads(self, reps):
+        model = _model(seed=3, m=1e5)
+        runs = [mc_moments(model, reps, seed=5, threads=t) for t in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        # Reference: each slice's whole stream in one call, added in slice
+        # order, as one thread without blocks would add them.
+        totals = np.zeros(reps)
+        for z in range(model.n):
+            w, rate = float(model.weights[z]), float(model.rates[z])
+            if w != 0.0 and rate != 0.0:
+                sigma = _slice_rng(5, z).poisson(rate, size=reps)
+                totals += w * _capped(sigma.astype(np.float64), model.cap_a,
+                                      model.cap_b)
+        assert runs[0].mean_hat.hex() == float(totals.mean()).hex()
+        assert runs[0].var_hat.hex() == float(totals.var(ddof=1)).hex()
 
 
 class TestBoundChain:

@@ -177,6 +177,13 @@ class TestSweep:
         # a finite factor of 1e304 times a mean of ~1e6 at lam = 1e3
         assert not plateau_check(((1e152, 1e152),))
 
+    @pytest.mark.parametrize("tol", (math.nan, 0.0, -1.0))
+    def test_grid_rejects_bad_tolerance(self, tol):
+        # A NaN grid tolerance used to reach the engine, where every window
+        # widened to the 10^7-term budget (~3.8 s) before failing.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            GridSpec((1.0,), ((2.0, 2.0),), tol=tol)
+
     def test_overflowing_envelope_errored(self):
         cert = sweep(GridSpec((1e300, 2.0), ((2.0, 2.0),)), "claim23")
         assert cert.errored == 1 and len(cert.records) == 1

@@ -1,6 +1,8 @@
 """Core moment engine: pmf, certified sums, variance oracles, sampling."""
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -16,14 +18,18 @@ from poissonlab.poisson_core import (
     ORACLE_POINTS,
     TruncationError,
     _LOG_FACTORIAL,
+    _MC_CHUNK,
     _certified_windows,
+    _draw_counts,
     _log_factorial_series,
     _pmf_window,
     expectation,
     fourth_central_moment,
     functional_value,
     moments,
+    moments_many,
     monte_carlo_moments,
+    thread_map,
     variance,
     variance_pairwise,
 )
@@ -367,6 +373,149 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert mc.mean == pytest.approx(math.sqrt(8.0) * 1e12, rel=1e-4)
+
+
+def one_draw_counts(lam, draws, seed):
+    """Reference: one rng.poisson call for all draws, counted by np.unique."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return np.unique(rng.poisson(lam, size=draws), return_counts=True)
+
+
+def one_draw_moments(f, draws, seed):
+    """monte_carlo_moments' fsum formulas on one_draw_counts."""
+    seen, counts = one_draw_counts(f.lam, draws, seed)
+    vals = functional_value(seen, f)
+    mean = math.fsum(counts * vals) / draws
+    var = math.fsum(counts * (vals - mean) ** 2) / (draws - 1)
+    return mean.hex(), var.hex()
+
+
+class TestChunkedDraws:
+    # Counting the draws chunk by chunk must give the one-call histogram,
+    # so the mean and variance keep their bits.
+    @pytest.mark.parametrize("draws", (_MC_CHUNK - 1, _MC_CHUNK + 1,
+                                       3 * _MC_CHUNK + 5))
+    @pytest.mark.parametrize("lam", (0.01, 10.0, 1e4))
+    def test_same_bits_as_one_draw(self, lam, draws):
+        seen, counts = _draw_counts(
+            np.random.default_rng(np.random.SeedSequence(5)), lam, draws)
+        ref_seen, ref_counts = one_draw_counts(lam, draws, 5)
+        assert np.array_equal(seen, ref_seen)
+        assert np.array_equal(counts, ref_counts)
+        f = CappedFunctional(lam, 2.0, 36.0)
+        mc = monte_carlo_moments(f, draws, 5)
+        assert (mc.mean.hex(), mc.variance.hex()) == one_draw_moments(f, draws, 5)
+
+    def test_span_past_the_draws(self):
+        # At lambda = 1e15 the draws spread over ~2.7e8 values: a bincount
+        # over that span would take ~2 GiB, the sorted merge O(draws).
+        f, draws = CappedFunctional(1e15, 2.0, 4.0), _MC_CHUNK + 1
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_moments(f, draws, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * draws
+        assert (mc.mean.hex(), mc.variance.hex()) == one_draw_moments(f, draws, 3)
+
+    def test_switch_from_bincount_to_sorted_merge(self):
+        # Seed 1 at lambda = 4.8e8: the first chunk spans fewer values than
+        # there are draws, all of them span more, so the running bincount
+        # turns into sorted counts part way.
+        lam, draws = 4.8e8, 3 * _MC_CHUNK + 5
+        ref_seen, ref_counts = one_draw_counts(lam, draws, 1)
+        rng = np.random.default_rng(np.random.SeedSequence(1))
+        first = rng.poisson(lam, size=_MC_CHUNK)
+        assert first.max() - first.min() < draws <= ref_seen[-1] - ref_seen[0]
+        seen, counts = _draw_counts(
+            np.random.default_rng(np.random.SeedSequence(1)), lam, draws)
+        assert np.array_equal(seen, ref_seen)
+        assert np.array_equal(counts, ref_counts)
+
+
+class TestThreadMap:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # Counts the threads thread_map starts.
+        count = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                count.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return count
+
+    @pytest.mark.parametrize("threads", (1, 2, 3, 8))
+    def test_results_in_item_order(self, threads):
+        assert thread_map(lambda x: x * x, range(20), threads) == [
+            x * x for x in range(20)]
+
+    @pytest.mark.parametrize("threads, items, workers",
+                             ((1, 5, 0), (2, 5, 1), (8, 2, 1), (8, 1, 0),
+                              (3, 0, 0)))
+    def test_never_more_threads_than_items(self, started, threads, items,
+                                           workers):
+        # The caller is one of the threads.
+        thread_map(str, range(items), threads)
+        assert len(started) == workers
+
+    @pytest.mark.parametrize("threads", (1, 2, 3))
+    def test_first_error_in_item_order_reaches_the_caller(self, threads):
+        # Item 3 fails late and item 5 at once; item 3's error comes back.
+        def fn(i):
+            if i == 3:
+                time.sleep(0.05)
+                raise KeyError(i)
+            if i == 5:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            thread_map(fn, range(8), threads)
+
+    def test_each_item_once_under_fast_switching(self):
+        # More threads than cores and a thread switch every microsecond: a
+        # lost update of the shared item order would run an item twice or
+        # skip one.
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            out = thread_map(lambda i: ran.append(i) or -i, range(5000), 8)
+            assert time.perf_counter() - start < 10.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-i for i in range(5000)]
+        assert sorted(ran) == list(range(5000))
+
+    def test_no_item_starts_after_an_error(self):
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i == 0:
+                raise ValueError(i)
+
+        with pytest.raises(ValueError):
+            thread_map(fn, range(100), 1)
+        assert ran == [0]
+
+
+@pytest.mark.parametrize("call", (
+    lambda tol: list(moments_many([CappedFunctional(1.0, 2.0, 2.0)], tol)),
+    lambda tol: variance_pairwise(CappedFunctional(1.0, 2.0, 2.0), tol),
+), ids=("moments_many", "variance_pairwise"))
+def test_nan_tolerance_raises_at_once(call):
+    # A NaN passes `tol <= 0`; no tail test then holds, and every window
+    # widened to the 10^7-term budget (~3.8 s) before failing.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        call(math.nan)
+    assert time.perf_counter() - start < 0.5
 
 
 class TestInvariants:
