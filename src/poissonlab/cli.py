@@ -155,7 +155,7 @@ def _grid_from_args(args, kind: str) -> inequality_lab.GridSpec:
             vals = _parse_float_list(pair_text)
             if len(vals) != 2:
                 raise UsageError(f"--caps expects 'a,b', got {pair_text!r}")
-            pairs.append((min(vals), max(vals)))
+            pairs.append(tuple(sorted(vals)))  # keeps a NaN for GridSpec
     try:
         return inequality_lab.default_grid(kind, args.tol, lambdas, pairs)
     except ValueError as exc:

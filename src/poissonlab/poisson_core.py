@@ -60,11 +60,6 @@ class TruncationError(ArithmeticError):
     """No certified moment: the requested tolerance is unreachable within the
     summation-term budget, or a moment's certified bound exceeds its value."""
 
-    def __init__(self, message, best_bound=math.inf, terms_used=0):
-        super().__init__(message)
-        self.best_bound = best_bound
-        self.terms_used = terms_used
-
 
 class SkippedPoint(Exception):
     """Denominator below the floor: both sides vanish, the ratio is vacuous."""
@@ -112,14 +107,6 @@ class Moments:
     mean: MomentEstimate
     variance: MomentEstimate | None = None
     mu4: MomentEstimate | None = None
-
-
-@dataclass(frozen=True)
-class PairwiseVarianceResult:
-    """Variance via the pairwise identity, with its certified error bound."""
-
-    value: float
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -299,14 +286,15 @@ class _Window(NamedTuple):
     """A certified summation window [lo, hi] of one functional: for
     k = 1..K, sums[k] is the correctly rounded sum of f^k p over it and
     trunc[k] the certified tail of that sum outside it; terms is its width,
-    hi - lo + 1 (0 for a rate or cap of 0), and r the right term ratio."""
+    hi - lo + 1 (0 for a rate or cap of 0), and ptail the certified tail of
+    the pmf p outside it, from the same edge-term bounds."""
 
     lo: int
     hi: int
     sums: dict
     trunc: dict
     terms: int
-    r: float
+    ptail: float
 
 
 def _first_window(f, floor, max_terms):
@@ -327,13 +315,15 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
     """Sums and tail tests of the windows [lo[i], hi[i]] (ints) of the
     functionals fs (rates > 0), as _certified_windows defines them.
 
-    Returns (sums, trunc, left_ok, right_ok, r): sums[k - 1][i] and
+    Returns (sums, trunc, left_ok, right_ok, ptail): sums[k - 1][i] and
     trunc[k - 1][i] are window i's sum and tail of f^k p (see _Window),
     left_ok[i] and right_ok[i] whether each side's tail is below the cut
-    for every power. The terms run over [lo - 1, hi + 1] (from lo when lo
-    is the floor). Per-rate scalars come from math (log lambda, r), and
-    every element takes the same operations in the same order for one
-    window or many, so a window's results do not depend on its pass.
+    for every power, and ptail[i] the tail of p alone, power 0, from the
+    same two edge-term bounds (r bounds p's term ratio too; ptail widens no
+    window). The terms run over [lo - 1, hi + 1] (from lo when lo is the
+    floor). Per-rate scalars come from math (log lambda, r), and every
+    element takes the same operations in the same order for one window or
+    many, so a window's results do not depend on its pass.
     """
     n = len(fs)
     lam = [f.lam for f in fs]
@@ -348,14 +338,10 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
     first, last = ends - sizes, ends - 1
     x = np.arange(ends[-1], dtype=np.float64)
     x -= np.repeat(first - start, sizes)
-
-    def spread(values):
-        # One value for all windows stays a scalar: no array to allocate.
-        same = all(v == values[0] for v in values)
-        return values[0] if same else np.repeat(values, sizes)
-
-    p = _pmf(x, spread([math.log(v) for v in lam]), spread(lam))
-    fv = _capped(x, spread([f.cap_a for f in fs]), spread([f.cap_b for f in fs]))
+    p = _pmf(x, np.repeat([math.log(v) for v in lam], sizes),
+             np.repeat(lam, sizes))
+    fv = _capped(x, np.repeat([f.cap_a for f in fs], sizes),
+                 np.repeat([f.cap_b for f in fs], sizes))
     del x
 
     body = np.ones(len(p), dtype=bool)
@@ -366,6 +352,16 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
     bounds = np.column_stack((first + left, last)).ravel()
     lam_v, r_v = np.array(lam), np.array(r)
     left_den = 1.0 - np.divide(start, lam_v, out=np.zeros(n), where=left)
+
+    def tails(terms):
+        # Each window's left and right tail bounds from its edge terms.
+        right = np.divide(
+            terms[last], 1.0 - r_v, out=np.full(n, math.inf), where=r_v < 1.0
+        )
+        return np.divide(terms[first], left_den, out=np.zeros(n), where=left), right
+
+    left_tail, right = tails(p)
+    ptail = (left_tail + right).tolist()
     tol_cut = tol / 16.0
     left_ok, right_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
     sums, trunc = [], []
@@ -375,15 +371,12 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
         terms = fpow * p
         rel = _REL_CUT * np.maximum.reduceat(terms, bounds)[::2]
         cut = np.where(rel < tol_cut, rel, tol_cut)
-        right = np.divide(
-            terms[last], 1.0 - r_v, out=np.full(n, math.inf), where=r_v < 1.0
-        )
-        left_tail = np.divide(terms[first], left_den, out=np.zeros(n), where=left)
+        left_tail, right = tails(terms)
         left_ok &= left_tail <= cut
         right_ok &= right <= cut
         trunc.append((left_tail + right).tolist())
         sums.append(_exact_sums(terms[body], body_starts))
-    return sums, trunc, left_ok, right_ok, r
+    return sums, trunc, left_ok, right_ok, ptail
 
 
 def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
@@ -417,17 +410,15 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
     powers = range(1, max_power + 1)
     known = {}  # index -> result, until it is yielded
 
-    def queued(i, lo, hi, best):
-        # [(i, lo, hi, best, elements)] within the budget, else [] with
-        # the error in known[i].
+    def queued(i, lo, hi):
+        # [(i, lo, hi, elements)] within the budget, else [] with the error
+        # in known[i].
         size = hi + 2 - (lo - (lo > floor))
         if size <= max_terms:
-            return [(i, lo, hi, best, size)]
+            return [(i, lo, hi, size)]
         known[i] = TruncationError(
             f"summation window of {size} terms exceeds the "
-            f"{max_terms}-term budget",
-            best_bound=best,
-            terms_used=hi - lo + 1,
+            f"{max_terms}-term budget"
         )
         return []
 
@@ -438,7 +429,7 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
             known[i] = _Window(0, -1, zero, zero, 0, 0.0)
             continue
         try:
-            pending += queued(i, *_first_window(f, floor, max_terms), math.inf)
+            pending += queued(i, *_first_window(f, floor, max_terms))
         except TruncationError as exc:
             known[i] = exc
 
@@ -450,27 +441,27 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
             continue
         chunk, used = [], 0
         for item in pending:
-            if chunk and used + item[4] > _BATCH_ELEMENTS:
+            if chunk and used + item[3] > _BATCH_ELEMENTS:
                 break
             chunk.append(item)
-            used += item[4]
+            used += item[3]
         del pending[: len(chunk)]
-        idx, lo, hi, _, _ = zip(*chunk)
-        sums, trunc, left_ok, right_ok, r = _window_pass(
+        idx, lo, hi, _ = zip(*chunk)
+        sums, trunc, left_ok, right_ok, ptail = _window_pass(
             [fs[i] for i in idx], lo, hi, floor, tol, max_power)
         widened = []
-        for j, (i, lo, hi, best, _) in enumerate(chunk):
+        for j, (i, lo, hi, _) in enumerate(chunk):
             if left_ok[j] and right_ok[j]:
                 known[i] = _Window(lo, hi, {k: sums[k - 1][j] for k in powers},
                                    {k: trunc[k - 1][j] for k in powers},
-                                   hi - lo + 1, r[j])
+                                   hi - lo + 1, ptail[j])
                 continue
-            lam, best = fs[i].lam, max(t[j] for t in trunc)
+            lam = fs[i].lam
             if not left_ok[j]:
                 lo = max(floor, lo - max(16, math.ceil(lam - lo)))
             if not right_ok[j]:
                 hi += max(16, math.ceil(hi - lam))
-            widened += queued(i, lo, hi, best)
+            widened += queued(i, lo, hi)
         pending[:0] = widened
 
 
@@ -496,9 +487,7 @@ def _guarded(
     if est.tail_bound > est.value:
         raise TruncationError(
             f"certified bound {est.tail_bound!r} exceeds the {name} "
-            f"{est.value!r} at {(f.lam, f.cap_a, f.cap_b)}",
-            best_bound=est.tail_bound,
-            terms_used=est.terms_used,
+            f"{est.value!r} at {(f.lam, f.cap_a, f.cap_b)}"
         )
     return est
 
@@ -591,7 +580,7 @@ def fourth_central_moment(
 
 def variance_pairwise(
     f: CappedFunctional, tol: float = DEFAULT_TOL
-) -> PairwiseVarianceResult:
+) -> MomentEstimate:
     """Independent variance oracle: (1/2) sum_{x,y} (f(x)-f(y))^2 p(x)p(y).
 
     The double sum runs over the engine's window (_certified_windows with
@@ -600,9 +589,10 @@ def variance_pairwise(
     on f and f^2: draws with f = 0 still pair against nonzero values and
     contribute to E[(W - W')^2]. Pairs with a member outside the window are
     bounded via (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2, with the window's f^2
-    tails and geometric pmf tails from its edge terms. The sum is over the
-    upper triangle, x < y, and stays O(W^2), so it shares no arithmetic with
-    the engine's E[f^2] - E[f]^2. A window wider than _PAIRWISE_TERMS raises
+    and pmf tails (_Window's trunc[2] and ptail). The sum is over the upper
+    triangle, x < y, and stays O(W^2), so it shares no arithmetic with the
+    engine's E[f^2] - E[f]^2. Returns the MomentEstimate (value, bound,
+    window width). A window wider than _PAIRWISE_TERMS raises
     TruncationError before anything is allocated.
     """
     if not tol > 0:
@@ -611,16 +601,12 @@ def variance_pairwise(
     if isinstance(w, TruncationError):
         raise w
     if not w.terms:
-        return PairwiseVarianceResult(0.0, 0.0)
+        return MomentEstimate(0.0, 0.0, 0)
 
-    # The window's terms and the edge terms its tails read, with the
-    # operations _window_pass applies, so p and f have its bits.
-    lam, lo, edge = f.lam, w.lo, int(w.lo > 0)
-    x, p = _pmf_window(lam, lo - edge, w.hi + 1)
-    ptail = float(p[-1]) / (1.0 - w.r)
-    ptail += float(p[0]) / (1.0 - (lo - 1.0) / lam) if edge else 0.0
-
-    fv, p = _capped(x[edge:-1], f.cap_a, f.cap_b), p[edge:-1]
+    # The window's terms, with the operations _window_pass applies, so p
+    # and f have its bits.
+    x, p = _pmf_window(f.lam, w.lo, w.hi)
+    fv = _capped(x, f.cap_a, f.cap_b)
     n = len(fv)
     rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
@@ -636,8 +622,8 @@ def variance_pairwise(
     value = 0.5 * math.fsum(parts)
 
     s1w, s2w = w.sums[1], w.sums[2]
-    fp = _fp_rel(lam) * (2.0 * s2w + s1w * s1w + value)
-    return PairwiseVarianceResult(value, 4.0 * (w.trunc[2] + ptail * s2w) + fp)
+    fp = _fp_rel(f.lam) * (2.0 * s2w + s1w * s1w + value)
+    return MomentEstimate(value, 4.0 * (w.trunc[2] + w.ptail * s2w) + fp, w.terms)
 
 
 # Draws per temporary of a Monte Carlo sampler (512 KiB of 8-byte values).
@@ -650,33 +636,20 @@ def _draw_counts(rng, lam: float, draws: int):
 
     The draws are taken in chunks of _MC_CHUNK. numpy's sampler gives the
     same stream in chunks as in one call, so the result is that of one call.
-    While the values drawn span fewer than `draws` integers, each chunk is
-    added into one bincount over that span; once they span more, each
-    chunk's sorted counts are kept and merged at the end. Nothing is larger
-    than O(draws).
+    Each chunk is counted on its own: by a bincount over its span when that
+    span is shorter than the chunk, by np.unique otherwise. The chunks'
+    counts are merged once, at the end. Nothing is larger than O(draws).
     """
-    lo, hi = math.inf, -math.inf
-    hist, parts = None, []
+    parts = []
     for start in range(0, draws, _MC_CHUNK):
         xs = rng.poisson(lam, size=min(_MC_CHUNK, draws - start))
-        cmin, cmax = int(xs.min()), int(xs.max())
-        lo, hi = min(lo, cmin), max(hi, cmax)
-        if hi - lo >= draws:
-            if hist is not None:
-                seen = np.flatnonzero(hist)
-                parts.append((seen + base, hist[seen]))
-                hist = None
+        lo = int(xs.min())
+        if int(xs.max()) - lo < len(xs):
+            hist = np.bincount(xs - lo)
+            seen = np.flatnonzero(hist)
+            parts.append((seen + lo, hist[seen]))
+        else:
             parts.append(np.unique(xs, return_counts=True))
-            continue
-        if hist is None or lo < base or hi >= base + len(hist):
-            grown = np.zeros(hi - lo + 1, dtype=np.int64)
-            if hist is not None:
-                grown[base - lo : base - lo + len(hist)] = hist
-            base, hist = lo, grown
-        hist[cmin - base : cmax - base + 1] += np.bincount(xs - cmin)
-    if hist is not None:
-        seen = np.flatnonzero(hist)
-        return seen + base, hist[seen]
     seen, where = np.unique(np.concatenate([v for v, _ in parts]),
                             return_inverse=True)
     counts = np.bincount(where, np.concatenate([c for _, c in parts]))

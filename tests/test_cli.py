@@ -247,12 +247,16 @@ class TestNoVacuousCertificate:
          "0.01,0.5,4"],
         ["complexity", "--map", "--n-range", "1e2,1e9,8", "--eps-range",
          "0.01,0.5,0"],
+        # A NaN cap in either place of the pair.
+        ["certify", "lemma1", "--lambda", "1,10", "--caps", "1,nan"],
+        ["certify", "lemma1", "--lambda", "1,10", "--caps", "nan,1"],
     ],
     ids=["lambda-nan", "tol-zero", "tol-negative", "map-no-ranges", "map-l1-zero",
          "m-nan", "m-inf", "target-nan", "lambda-max-nan", "map-n-inf",
          "map-count-huge", "seed-negative", "eps-overflow",
          "map-eps-overflow", "h-seed", "falsify-tol", "complexity-seed",
-         "map-count-fraction", "map-count-zero"],
+         "map-count-fraction", "map-count-zero", "caps-nan-last",
+         "caps-nan-first"],
 )
 def test_rejected_at_parse_time(capsys, argv):
     code, out = run(capsys, *argv)

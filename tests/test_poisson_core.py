@@ -19,6 +19,7 @@ from poissonlab.poisson_core import (
     TruncationError,
     _LOG_FACTORIAL,
     _MC_CHUNK,
+    _PAIRWISE_TERMS,
     _certified_windows,
     _draw_counts,
     _fp_rel,
@@ -86,11 +87,11 @@ class TestLogPmf:
 
     def test_matches_mpmath_large(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
         for lam, x in [(1e4, 10000), (1e4, 9500), (5000.0, 5200), (1e4, 10450)]:
-            ref = float(
-                mp.e ** (x * mp.log(lam) - lam - mp.loggamma(x + 1))
-            )
+            with mp.workdps(40):
+                ref = float(
+                    mp.e ** (x * mp.log(lam) - lam - mp.loggamma(x + 1))
+                )
             # log-space evaluation cancels O(lam log lam) magnitudes, so the
             # achievable relative accuracy degrades with lam
             assert pmf(lam, x) == pytest.approx(ref, rel=1e-10)
@@ -423,8 +424,8 @@ class TestChunkedDraws:
 
     def test_switch_from_bincount_to_sorted_merge(self):
         # Seed 1 at lambda = 4.8e8: the first chunk spans fewer values than
-        # there are draws, all of them span more, so the running bincount
-        # turns into sorted counts part way.
+        # there are draws, all of them span more. Every chunk spans more
+        # values than it holds, so each is counted by np.unique.
         lam, draws = 4.8e8, 3 * _MC_CHUNK + 5
         ref_seen, ref_counts = one_draw_counts(lam, draws, 1)
         rng = np.random.default_rng(np.random.SeedSequence(1))
@@ -432,6 +433,22 @@ class TestChunkedDraws:
         assert first.max() - first.min() < draws <= ref_seen[-1] - ref_seen[0]
         seen, counts = _draw_counts(
             np.random.default_rng(np.random.SeedSequence(1)), lam, draws)
+        assert np.array_equal(seen, ref_seen)
+        assert np.array_equal(counts, ref_counts)
+
+    def test_bincount_and_unique_chunks_in_one_call(self):
+        # Seed 2 at lambda = 6e7: the chunks' spans lie either side of the
+        # chunk length, so one call counts chunks by a bincount over the
+        # span and others by np.unique.
+        lam, draws = 6e7, 3 * _MC_CHUNK + 5
+        xs = np.random.default_rng(np.random.SeedSequence(2)).poisson(
+            lam, size=draws)
+        chunks = [xs[i : i + _MC_CHUNK] for i in range(0, draws, _MC_CHUNK)]
+        short = {int(c.max() - c.min()) < len(c) for c in chunks}
+        assert short == {True, False}
+        seen, counts = _draw_counts(
+            np.random.default_rng(np.random.SeedSequence(2)), lam, draws)
+        ref_seen, ref_counts = one_draw_counts(lam, draws, 2)
         assert np.array_equal(seen, ref_seen)
         assert np.array_equal(counts, ref_counts)
 
@@ -660,6 +677,47 @@ def test_pairwise_on_the_engine_window():
     assert abs(pw.value - 8.0 * lam) <= pw.tail_bound
 
 
+# variance_pairwise's bits, pinned: (lo, hi) of its window, then value and
+# bound in hex, since the oracle-check record carries no bounds. Windows
+# from lo = 0 (lambda <= 200) and lo > 0 (500, 1e3, 1e4), caps of 1e6, and
+# at tol 1e-300 widened windows.
+_PAIRWISE_PINS = {
+    (1e-10, (0.5, 4.0, 9.0)): (
+        0, 48, "0x1.fb2773111171dp-2", "0x1.4f2674a884bc2p-42"),
+    (1e-10, (2.0, 1e6, 1e6)): (
+        0, 48, "0x1.0695a4802b478p+6", "0x1.8aacfb9a65b93p-35"),
+    (1e-10, (200.0, 16.0, 256.0)): (
+        0, 415, "0x1.6032d8202f935p+20", "0x1.814e5523bd441p-9"),
+    (1e-10, (500.0, 1.0, 4.0)): (
+        170, 830, "0x1.f3ffffffff234p+10", "0x1.168cf51883860p-14"),
+    (1e-10, (1000.0, 32.0, 32.0)): (
+        541, 1459, "0x1.f3fffffffec05p+19", "0x1.353515e0d8867p-3"),
+    (1e-10, (10000.0, 100.0, 100.0)): (
+        8583, 11417, "0x1.7d7840002d3d7p+26", "0x1.eae3ab90b4826p+10"),
+    (1e-300, (1.0, 2.0, 2.0)): (
+        0, 189, "0x1.5a355db600202p+0", "0x1.d1812470b1321p-41"),
+    (1e-300, (10.0, 1e6, 1e6)): (
+        0, 514, "0x1.2126c7b1d0c53p+12", "0x1.587a332c010d4p-27"),
+    (1e-300, (500.0, 1.0, 4.0)): (
+        0, 1820, "0x1.f3ffffffff233p+10", "0x1.168cf51883860p-14"),
+    (1e-300, (1000.0, 32.0, 32.0)): (
+        82, 2836, "0x1.f3fffffffec04p+19", "0x1.353515e0d8867p-3"),
+    (1e-300, (10000.0, 100.0, 100.0)): (
+        4332, 15668, "0x1.7d7840002d3d7p+26", "0x1.eae3ab90b4826p+10"),
+}
+
+
+@pytest.mark.parametrize("tol, point", list(_PAIRWISE_PINS))
+def test_pairwise_bits_pinned(tol, point):
+    lo, hi, value, bound = _PAIRWISE_PINS[tol, point]
+    f = CappedFunctional(*point)
+    (w,) = _certified_windows([f], 0, tol, 2, _PAIRWISE_TERMS)
+    assert (w.lo, w.hi) == (lo, hi)
+    pw = variance_pairwise(f, tol)
+    assert (pw.value.hex(), pw.tail_bound.hex()) == (value, bound)
+    assert pw.terms_used == hi - lo + 1
+
+
 def test_pairwise_budget_on_the_width():
     # lambda = 1e8 needs ~280,000 terms, past the pair budget: it raises
     # before anything is allocated.
@@ -667,12 +725,6 @@ def test_pairwise_budget_on_the_width():
     with pytest.raises(TruncationError, match="exceeds the 32768-term"):
         variance_pairwise(CappedFunctional(1e8, 2.0, 4.0))
     assert time.perf_counter() - start < 1.0
-
-
-def test_truncation_error_carries_diagnostics():
-    err = TruncationError("no convergence", best_bound=0.5, terms_used=99)
-    assert err.best_bound == 0.5
-    assert err.terms_used == 99
 
 
 def test_truncation_raised_for_huge_rate():
