@@ -287,7 +287,7 @@ class _Window(NamedTuple):
     k = 1..K, sums[k] is the correctly rounded sum of f^k p over it and
     trunc[k] the certified tail of that sum outside it; terms is its width,
     hi - lo + 1 (0 for a rate or cap of 0), and ptail the certified tail of
-    the pmf p outside it, from the same edge-term bounds."""
+    the pmf p outside it, from the same edge terms, at lo - 1 and hi + 1."""
 
     lo: int
     hi: int
@@ -320,62 +320,57 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
     left_ok[i] and right_ok[i] whether each side's tail is below the cut
     for every power, and ptail[i] the tail of p alone, power 0, from the
     same two edge-term bounds (r bounds p's term ratio too; ptail widens no
-    window). The terms run over [lo - 1, hi + 1] (from lo when lo is the
-    floor). Per-rate scalars come from math (log lambda, r), and every
-    element takes the same operations in the same order for one window or
-    many, so a window's results do not depend on its pass.
+    window). The windows lie end to end; window i's edge terms, lo - 1
+    (unread at the floor) and hi + 1, are 2i and 2i + 1 of an array apart.
+    Per-rate scalars come from math (log lambda, r), and every element
+    takes the same operations in the same order for one window or many, so
+    a window's results do not depend on its pass.
     """
     n = len(fs)
-    lam = [f.lam for f in fs]
-    r = [
+    lam = np.array([f.lam for f in fs])
+    r = np.array([
         (f.lam / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
         for f, h in zip(fs, hi)
-    ]
+    ])
+
+    def terms_at(x, reps):
+        # p and f at x; window i's parameters fill reps[i] elements in turn.
+        p = _pmf(x, np.repeat([math.log(v) for v in lam], reps),
+                 np.repeat(lam, reps))
+        return p, _capped(x, np.repeat([f.cap_a for f in fs], reps),
+                          np.repeat([f.cap_b for f in fs], reps))
+
+    sizes = np.array(hi) + 1 - lo
+    starts = np.cumsum(sizes) - sizes
+    x = np.arange(starts[-1] + sizes[-1], dtype=np.float64)
+    x -= np.repeat(starts - lo, sizes)
+    p, fv = terms_at(x, sizes)
     left = np.array(lo) > floor
-    start = np.array(lo) - left
-    sizes = np.array(hi) + 2 - start
-    ends = np.cumsum(sizes)
-    first, last = ends - sizes, ends - 1
-    x = np.arange(ends[-1], dtype=np.float64)
-    x -= np.repeat(first - start, sizes)
-    p = _pmf(x, np.repeat([math.log(v) for v in lam], sizes),
-             np.repeat(lam, sizes))
-    fv = _capped(x, np.repeat([f.cap_a for f in fs], sizes),
-                 np.repeat([f.cap_b for f in fs], sizes))
-    del x
+    x = np.column_stack((np.array(lo) - left, np.array(hi) + 1.0)).ravel()
+    edge_p, edge_f = terms_at(x, 2)
+    left_den = 1.0 - np.divide(x[::2], lam, out=np.zeros(n), where=left)
 
-    body = np.ones(len(p), dtype=bool)
-    body[first[left]] = False
-    body[last] = False
-    body_sizes = sizes - 1 - left
-    body_starts = np.cumsum(body_sizes) - body_sizes
-    bounds = np.column_stack((first + left, last)).ravel()
-    lam_v, r_v = np.array(lam), np.array(r)
-    left_den = 1.0 - np.divide(start, lam_v, out=np.zeros(n), where=left)
-
-    def tails(terms):
+    def tails(edges):
         # Each window's left and right tail bounds from its edge terms.
-        right = np.divide(
-            terms[last], 1.0 - r_v, out=np.full(n, math.inf), where=r_v < 1.0
-        )
-        return np.divide(terms[first], left_den, out=np.zeros(n), where=left), right
+        right = np.divide(edges[1::2], 1.0 - r, out=np.full(n, math.inf),
+                          where=r < 1.0)
+        return np.divide(edges[::2], left_den, out=np.zeros(n), where=left), right
 
-    left_tail, right = tails(p)
-    ptail = (left_tail + right).tolist()
-    tol_cut = tol / 16.0
+    ptail = np.add(*tails(edge_p)).tolist()
     left_ok, right_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
     sums, trunc = [], []
-    fpow = np.ones_like(fv)
+    fpow, edge_fpow = np.ones_like(fv), np.ones_like(edge_f)
     for _ in range(max_power):
         fpow = fpow * fv
+        edge_fpow = edge_fpow * edge_f
         terms = fpow * p
-        rel = _REL_CUT * np.maximum.reduceat(terms, bounds)[::2]
-        cut = np.where(rel < tol_cut, rel, tol_cut)
-        left_tail, right = tails(terms)
+        rel = _REL_CUT * np.maximum.reduceat(terms, starts)
+        cut = np.minimum(rel, tol / 16.0)
+        left_tail, right = tails(edge_fpow * edge_p)
         left_ok &= left_tail <= cut
         right_ok &= right <= cut
         trunc.append((left_tail + right).tolist())
-        sums.append(_exact_sums(terms[body], body_starts))
+        sums.append(_exact_sums(terms, starts))
     return sums, trunc, left_ok, right_ok, ptail
 
 
@@ -479,31 +474,29 @@ def _batched_moments(fs, tol, order) -> Iterator:
         yield w
 
 
-def _guarded(
-    name: str, est: MomentEstimate, f: CappedFunctional
-) -> MomentEstimate:
-    # A bound above the value certifies nothing: at very large rates the
-    # cancellation in the central moments can leave pure roundoff.
-    if est.tail_bound > est.value:
-        raise TruncationError(
-            f"certified bound {est.tail_bound!r} exceeds the {name} "
-            f"{est.value!r} at {(f.lam, f.cap_a, f.cap_b)}"
-        )
-    return est
-
-
 def _moments(f, sums, trunc, n, order) -> Moments:
-    """Moments of f from its window sums, tails and width; a moment whose
-    bound exceeds its value raises TruncationError."""
+    """Moments of f from its window sums, tails and width, each certified
+    as it is built: a bound above its value raises TruncationError."""
     fp = _fp_rel(f.lam)
+
+    def certified(name, value, bound):
+        # A bound above the value certifies nothing: at very large rates the
+        # cancellation in the central moments can leave pure roundoff.
+        if bound > value:
+            raise TruncationError(
+                f"certified bound {bound!r} exceeds the {name} "
+                f"{value!r} at {(f.lam, f.cap_a, f.cap_b)}"
+            )
+        return MomentEstimate(value, bound, n)
+
     s1, t1 = sums[1], trunc[1]
-    mean = _guarded("mean", MomentEstimate(s1, t1 + fp * s1, n), f)
+    mean = certified("mean", s1, t1 + fp * s1)
     if order == 1:
         return Moments(mean)
 
     s2, t2 = sums[2], trunc[2]
     tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
-    var = _guarded("variance", MomentEstimate(max(s2 - s1 * s1, 0.0), tail, n), f)
+    var = certified("variance", max(s2 - s1 * s1, 0.0), tail)
     if order == 2:
         return Moments(mean, var)
 
@@ -517,8 +510,7 @@ def _moments(f, sums, trunc, n, order) -> Moments:
         + 12.0 * s1**3 * t1
         + fp * gross
     )
-    mu4_est = MomentEstimate(max(mu4, 0.0), tail, n)
-    return Moments(mean, var, _guarded("fourth central moment", mu4_est, f))
+    return Moments(mean, var, certified("fourth central moment", max(mu4, 0.0), tail))
 
 
 def moments_many(fs, tol: float = DEFAULT_TOL, order: int = 2) -> Iterator:

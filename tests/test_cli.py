@@ -131,6 +131,17 @@ class TestRecords:
         assert r["chain"]["quarter_step_ok"] is True
         assert r["exact"]["mean"] > 0.0
 
+    def test_simulate_d_all_zero(self, capsys):
+        # Every slice's mean underflows and every total drawn is 0: the
+        # 4-SE check reads |0 - 0| <= 0 and passes.
+        code, doc = run_json(capsys, "simulate-d", "--m", "1e-300", "--n", "5",
+                             "--reps", "100", "--l1", "2", "--l2", "2")
+        assert code == EX_OK
+        r = doc["result"]
+        assert [r["exact"]["mean"], r["exact"]["variance"],
+                r["mc"]["mean_hat"], r["mc"]["var_hat"]] == [0.0] * 4
+        assert r["mc_within_4se"] is True
+
     def test_oracle_check(self, capsys):
         code, doc = run_json(capsys, "oracle-check", "--draws", "200000")
         assert code == EX_OK

@@ -422,7 +422,7 @@ class TestChunkedDraws:
         assert peak < 16 * 8 * draws
         assert (mc.mean.hex(), mc.variance.hex()) == one_draw_moments(f, draws, 3)
 
-    def test_switch_from_bincount_to_sorted_merge(self):
+    def test_every_chunk_counted_by_unique(self):
         # Seed 1 at lambda = 4.8e8: the first chunk spans fewer values than
         # there are draws, all of them span more. Every chunk spans more
         # values than it holds, so each is counted by np.unique.

@@ -1,6 +1,7 @@
 """The summation kernel: exact segment sums and batched moments."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from poissonlab.poisson_core import (
     _exact_sums,
     _first_window,
     _pmf_window,
+    _window_pass,
     functional_value,
     moments,
     moments_many,
@@ -217,3 +219,44 @@ class TestMomentsMany:
             moments_many([f], DEFAULT_TOL, 3)
         with pytest.raises(ValueError, match="tolerance"):
             moments_many([f], 0.0, 2)
+
+
+def _window_of(result, i):
+    """Window i's sums, tails (hex) and tail tests from a _window_pass."""
+    sums, trunc, left_ok, right_ok, ptail = result
+    return ([s[i].hex() for s in sums], [t[i].hex() for t in trunc],
+            ptail[i].hex(), bool(left_ok[i]), bool(right_ok[i]))
+
+
+class TestWindowPass:
+    @pytest.mark.parametrize("max_power", [1, 2, 4])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300])
+    def test_each_window_as_if_alone(self, tol, max_power):
+        # Floor t: _MIXED's rates > 0 within the budget, lo > t from
+        # lam = 1e3 on. Floor 0: one window from 0, one above it. At tol
+        # 1e-300 every first window fails its tail tests.
+        batches = [
+            ([f for f in _MIXED if 0.0 < f.lam < 1e13], CappedFunctional.threshold),
+            ([CappedFunctional(2.0, 2.5, 7.5), CappedFunctional(1e3, 32.0, 32.0)], 0),
+        ]
+        for fs, floor in batches:
+            lo, hi = zip(*(_first_window(f, floor, MAX_TERMS) for f in fs))
+            assert lo[0] == floor < lo[-1]
+            together = _window_pass(fs, lo, hi, floor, tol, max_power)
+            for i, f in enumerate(fs):
+                alone = _window_pass([f], lo[i : i + 1], hi[i : i + 1], floor,
+                                     tol, max_power)
+                assert _window_of(together, i) == _window_of(alone, 0), f
+
+    def test_peak_memory_of_a_wide_window(self):
+        # One window of 280,035 terms at lam = 1e8. The pass builds the
+        # pmf's per-element rate arrays and then the functional's caps, one
+        # pair at a time: all four at once peak at about 30 MiB.
+        f = CappedFunctional(1e8, 2.0, 4.0)
+        tracemalloc.start()
+        try:
+            list(moments_many([f], DEFAULT_TOL, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2**20
