@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MASS_TOL = 1e-12
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,8 @@ class JointDistribution:
             raise ValueError("alphabet sizes must be positive")
         table = np.asarray(self.pmf, dtype=np.float64)
         if table.shape != (self.l1, self.l2, self.n):
-            raise ValueError(
-                f"pmf shape {table.shape} does not match "
-                f"({self.l1}, {self.l2}, {self.n})"
-            )
+            raise ValueError(f"pmf shape {table.shape} does not match "
+                             f"({self.l1}, {self.l2}, {self.n})")
         if np.any(table < 0):
             raise ValueError("pmf entries must be nonnegative")
         if abs(float(table.sum()) - 1.0) > MASS_TOL:
@@ -56,19 +55,29 @@ class ConditionalSlice:
     eps_prime: float  # eps / sqrt(4 * l1 * l2)
 
 
+def _slices(pmf: np.ndarray):
+    """(mass, cond, product, eps) of consecutive chunks of slices, each a
+    (z, x, y)-contiguous copy of at most about _CHUNK_ENTRIES entries. Each
+    sum has the bits of one over pmf[:, :, z]; a zero-mass slice gets 0s."""
+    l1, l2, n = pmf.shape
+    step = max(1, _CHUNK_ENTRIES // (l1 * l2))
+    for z0 in range(0, n, step):
+        block = np.ascontiguousarray(pmf[:, :, z0 : z0 + step].transpose(2, 0, 1))
+        mass = block.sum(axis=(1, 2))
+        cond = block / np.where(mass > 0.0, mass, 1.0)[:, None, None]
+        q = cond.sum(axis=2)[:, :, None] * cond.sum(axis=1)[:, None, :]
+        yield mass, cond, q, 0.5 * np.abs(cond - q).sum(axis=(1, 2))
+
+
 def conditional_slice(joint: JointDistribution, z: int) -> ConditionalSlice:
     """Slice quantities at z; a zero-mass slice contributes eps = 0."""
     if not (0 <= z < joint.n):
         raise IndexError(f"slice index {z} out of range [0, {joint.n})")
-    block = joint.pmf[:, :, z]
-    mass = float(block.sum())
-    norm = math.sqrt(4.0 * joint.l1 * joint.l2)
+    ((mass,), (cond,), (q,), (eps,)), = _slices(joint.pmf[:, :, z : z + 1])
     if mass <= 0.0:
         return ConditionalSlice(z, 0.0, None, None, 0.0, 0.0)
-    cond = block / mass
-    q = np.outer(cond.sum(axis=1), cond.sum(axis=0))
-    eps = 0.5 * float(np.abs(cond - q).sum())
-    return ConditionalSlice(z, mass, cond, q, eps, eps / norm)
+    eps, norm = float(eps), math.sqrt(4.0 * joint.l1 * joint.l2)
+    return ConditionalSlice(z, float(mass), cond, q, eps, eps / norm)
 
 
 @dataclass(frozen=True)
@@ -88,28 +97,26 @@ class DStatisticModel:
         weights = np.asarray(self.weights, dtype=np.float64)
         if rates.shape != (self.n,) or weights.shape != (self.n,):
             raise ValueError("rates and weights must both have length n")
-        if np.any(rates < 0) or np.any(weights < 0):
-            raise ValueError("rates and weights must be nonnegative")
+        for arr in (rates, weights):
+            if not np.all((arr >= 0.0) & (arr < math.inf)):
+                raise ValueError("rates and weights must be finite and >= 0")
+            arr.flags.writeable = False
         cap = 1.0 / (4.0 * self.cap_a * self.cap_b)
         if np.any(weights > cap * (1.0 + 1e-12)):
             raise ValueError("weights must not exceed 1/(4*l1*l2)")
-        for arr in (rates, weights):
-            arr.flags.writeable = False
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "weights", weights)
 
 
 def build_model(joint: JointDistribution, m: float) -> DStatisticModel:
     """Rates m*P(Z=z) and weights eps_prime^2 for the weighted statistic."""
-    if m <= 0:
-        raise ValueError("sample-size parameter m must be positive")
-    rates = np.empty(joint.n)
-    weights = np.empty(joint.n)
-    for z in range(joint.n):
-        s = conditional_slice(joint, z)
-        rates[z] = m * s.mass
-        weights[z] = s.eps_prime**2
-    return DStatisticModel(joint.n, rates, weights, joint.l1, joint.l2)
+    if not (0.0 < m < math.inf):
+        raise ValueError("sample-size parameter m must be positive and finite")
+    mass, eps = map(np.concatenate, zip(*[(c[0], c[3]) for c in _slices(joint.pmf)]))
+    eps_prime = eps / math.sqrt(4.0 * joint.l1 * joint.l2)
+    # Python's ** is C pow, which rounds a few squares unlike x*x (np.square).
+    weights = np.array([v**2 for v in eps_prime.tolist()])
+    return DStatisticModel(joint.n, m * mass, weights, joint.l1, joint.l2)
 
 
 def generate_null(l1: int, l2: int, n: int, seed: int) -> JointDistribution:
@@ -144,18 +151,17 @@ def perturb(
         raise ValueError("magnitude must lie in (0, 1]")
     if joint.l1 < 2 or joint.l2 < 2:
         raise ValueError("each slice must be at least 2x2 to perturb")
+    mass = np.concatenate([c[0] for c in _slices(joint.pmf)])
+    zs = np.flatnonzero(mass > 0.0)  # one rng.choice pair each, in slice order
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cells = np.empty((len(zs), 4), dtype=np.intp)
+    for row in cells:
+        row[:2] = rng.choice(joint.l1, size=2, replace=False)
+        row[2:] = rng.choice(joint.l2, size=2, replace=False)
+    i1, i2, j1, j2 = cells.T
     table = joint.pmf.copy()
-    for z in range(joint.n):
-        block = table[:, :, z]
-        mass = float(block.sum())
-        if mass <= 0.0:
-            continue
-        i1, i2 = rng.choice(joint.l1, size=2, replace=False)
-        j1, j2 = rng.choice(joint.l2, size=2, replace=False)
-        d = min(magnitude * mass / 4.0, float(min(block[i1, j2], block[i2, j1])))
-        block[i1, j1] += d
-        block[i2, j2] += d
-        block[i1, j2] -= d
-        block[i2, j1] -= d
+    d = np.minimum(magnitude * mass[zs] / 4.0,
+                   np.minimum(table[i1, j2, zs], table[i2, j1, zs]))
+    for i, j, delta in ((i1, j1, d), (i2, j2, d), (i1, j2, -d), (i2, j1, -d)):
+        table[i, j, zs] += delta
     return JointDistribution(joint.l1, joint.l2, joint.n, table)

@@ -230,11 +230,8 @@ def cmd_simulate_d(args) -> int:
     except inequality_lab.SkippedPoint:
         ratio = None
 
-    mc_ok = (
-        abs(mc.mean_hat - exact.mean) <= 4.0 * mc.se_mean
-        and abs(mc.var_hat - exact.variance) <= 4.0 * mc.se_var
-    )
-    ok = mc_ok and chain.quarter_step_ok
+    mc_ok = (abs(mc.mean_hat - exact.mean) <= 4.0 * mc.se_mean
+             and abs(mc.var_hat - exact.variance) <= 4.0 * mc.se_var)
 
     body = {
         "exact": {"mean": exact.mean, "variance": exact.variance,
@@ -245,14 +242,11 @@ def cmd_simulate_d(args) -> int:
         "mc_within_4se": mc_ok,
     }
     per_z = {z: (w * e, w * w * v) for z, w, e, v in exact.per_z}
-    rows = (
-        dict(zip(SLICE_COLUMNS, (z, float(model.rates[z]),
-                                 float(model.weights[z]),
-                                 *per_z.get(z, (0.0, 0.0)))))
-        for z in range(model.n)
-    )
+    rows = (dict(zip(SLICE_COLUMNS, (z, rate, w, *per_z.get(z, (0.0, 0.0)))))
+            for z, (rate, w) in enumerate(zip(model.rates.tolist(),
+                                              model.weights.tolist())))
     _emit(args, body, SLICE_COLUMNS, rows)
-    return EX_OK if ok else EX_PREDICATE
+    return EX_OK if mc_ok and chain.quarter_step_ok else EX_PREDICATE
 
 
 def cmd_complexity(args) -> int:

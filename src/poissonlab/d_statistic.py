@@ -15,16 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci_model import DStatisticModel
-from .poisson_core import (
-    DEFAULT_TOL,
-    DENOMINATOR_FLOOR,
-    _MC_CHUNK,
-    CappedFunctional,
-    SkippedPoint,
-    _capped,
-    moments_many,
-    thread_map,
-)
+from .poisson_core import (DEFAULT_TOL, DENOMINATOR_FLOOR, _MC_CHUNK,
+                           CappedFunctional, SkippedPoint, moments_many,
+                           thread_map)
 
 
 @dataclass(frozen=True)
@@ -81,15 +74,16 @@ def _slice_rng(seed: int, z: int) -> np.random.Generator:
 def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
     """Per-slice capped-functional moments scaled by the slice weights,
     from one batched summation pass over all slices."""
-    cap_a, cap_b = float(model.cap_a), float(model.cap_b)
-    zs = np.flatnonzero((model.weights != 0.0) & (model.rates != 0.0)).tolist()
-    fs = [CappedFunctional(float(model.rates[z]), cap_a, cap_b) for z in zs]
+    weights, rates = model.weights.tolist(), model.rates.tolist()
+    zs = [z for z in range(model.n) if weights[z] != 0.0 and rates[z] != 0.0]
+    fs = [CappedFunctional(rates[z], float(model.cap_a), float(model.cap_b))
+          for z in zs]
     per_z = []
     tail = 0.0
     for z, m in zip(zs, moments_many(fs, tol, 2)):
         if isinstance(m, ArithmeticError):
             raise m
-        w = float(model.weights[z])
+        w = weights[z]
         tail += w * m.mean.tail_bound + w * w * m.variance.tail_bound
         per_z.append((z, w, m.mean.value, m.variance.value))
     return DMoments(
@@ -102,12 +96,21 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
 
 
 def _fill(block):
-    """The weighted functional of each slice stream in block at its next
-    `size` draws: one row per slice."""
-    streams, size, cap_a, cap_b = block
-    return [w * _capped(rng.poisson(rate, size=size).astype(np.float64),
-                        cap_a, cap_b)
-            for w, rate, rng in streams]
+    """Row i: slice i's weighted f at its stream's next `size` draws; streams
+    start on the thread filling a group's first block; f runs once, in place."""
+    group, rngs, size, seed, model = block
+    if not rngs:
+        rngs.extend(_slice_rng(seed, z) for _, _, z in group)
+    x = np.empty((len(group), size))
+    for row, (_, rate, _), rng in zip(x, group, rngs):
+        row[:] = rng.poisson(rate, size=size)
+    f = np.minimum(x, model.cap_a)
+    f *= np.minimum(x, model.cap_b)
+    np.sqrt(f, out=f)
+    f *= x
+    f[x < CappedFunctional.threshold] = 0.0
+    f *= np.array([[w] for w, _, _ in group])
+    return f
 
 
 def mc_moments(model: DStatisticModel, replications: int, seed: int,
@@ -117,29 +120,26 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int,
 
     Replication r's total is the sum, in slice order, of each slice's
     weighted functional at the r-th draw of its _slice_rng stream. The
-    contributions come in blocks of at most _MC_CHUNK: whole slices
-    when the replications fit, else one slice's next run of draws. Up to
-    `threads` threads fill one block each per round, and the caller adds
-    the rows into the totals in slice order, so every bit of the result is
-    the same for any thread count.
+    contributions come in blocks of at most _MC_CHUNK: whole slices when
+    the replications fit, else one slice's next run of draws. Per round, up
+    to `threads` threads fill one block each, building its streams and
+    evaluating f once (_fill); the caller adds the rows into the totals in
+    slice order, so every bit of the result is the same for any thread count.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    slices = [(float(w), float(rate), z)
-              for z, (w, rate) in enumerate(zip(model.weights, model.rates))
+    slices = [(w, rate, z) for z, (w, rate) in
+              enumerate(zip(model.weights.tolist(), model.rates.tolist()))
               if w != 0.0 and rate != 0.0]
     cols = min(replications, _MC_CHUNK)
     per_block = _MC_CHUNK // cols
-    groups = [slices[i : i + per_block]
-              for i in range(0, len(slices), per_block)]
+    groups = [slices[i : i + per_block] for i in range(0, len(slices), per_block)]
     totals = np.zeros(replications)
     for g in range(0, len(groups), threads):
-        streams = [[(w, rate, _slice_rng(seed, z)) for w, rate, z in group]
-                   for group in groups[g : g + threads]]
+        streams = [(group, []) for group in groups[g : g + threads]]
         for c0 in range(0, replications, cols):
             size = min(cols, replications - c0)
-            blocks = [(group, size, model.cap_a, model.cap_b)
-                      for group in streams]
+            blocks = [(group, rngs, size, seed, model) for group, rngs in streams]
             for rows in thread_map(_fill, blocks, threads):
                 for row in rows:
                     totals[c0 : c0 + size] += row

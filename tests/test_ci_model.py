@@ -1,6 +1,7 @@
 """Joint distributions, per-slice TV gaps, and model construction."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -155,3 +156,112 @@ class TestModel:
             JointDistribution(2, 2, 1, np.full((2, 2, 1), 1.0))
         with pytest.raises(ValueError):
             JointDistribution(2, 2, 1, np.full((2, 2, 1), -0.25))
+
+    @pytest.mark.parametrize("m", [float("nan"), math.inf, 0.0, -1.0])
+    def test_build_rejects_m_outside_zero_to_infinity(self, m):
+        with pytest.raises(ValueError, match="sample-size parameter"):
+            build_model(generate_null(2, 2, 3, seed=0), m)
+
+    @pytest.mark.parametrize("rates, weights", [
+        ([float("nan")], [0.0]),
+        ([math.inf], [0.0]),
+        ([1.0], [float("nan")]),
+    ])
+    def test_model_rejects_non_finite_rates_and_weights(self, rates, weights):
+        with pytest.raises(ValueError, match="finite"):
+            DStatisticModel(1, np.array(rates), np.array(weights), 2, 2)
+
+
+# Per-z reference loops for conditional_slice, build_model and perturb:
+# the chunked array pass must give their results bit for bit.
+def _slice_loop(joint, z):
+    block = joint.pmf[:, :, z]
+    mass = float(block.sum())
+    if mass <= 0.0:
+        return 0.0, None, None, 0.0
+    cond = block / mass
+    q = np.outer(cond.sum(axis=1), cond.sum(axis=0))
+    return mass, cond, q, 0.5 * float(np.abs(cond - q).sum())
+
+
+def _build_model_loop(joint, m):
+    rates, weights = np.empty(joint.n), np.empty(joint.n)
+    norm = math.sqrt(4.0 * joint.l1 * joint.l2)
+    for z in range(joint.n):
+        mass, _, _, eps = _slice_loop(joint, z)
+        rates[z] = m * mass
+        weights[z] = (eps / norm) ** 2
+    return rates, weights
+
+
+def _perturb_loop(joint, magnitude, seed):
+    """The perturbed table, and how many slices had d clipped."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    table = joint.pmf.copy()
+    clipped = 0
+    for z in range(joint.n):
+        block = table[:, :, z]
+        mass = float(block.sum())
+        if mass <= 0.0:
+            continue
+        i1, i2 = rng.choice(joint.l1, size=2, replace=False)
+        j1, j2 = rng.choice(joint.l2, size=2, replace=False)
+        cell = float(min(block[i1, j2], block[i2, j1]))
+        clipped += cell < magnitude * mass / 4.0
+        d = min(magnitude * mass / 4.0, cell)
+        block[i1, j1] += d
+        block[i2, j2] += d
+        block[i1, j2] -= d
+        block[i2, j1] -= d
+    return table, clipped
+
+
+def _with_zero_slice():
+    """A 3x4x10 null table whose slice 4 has no mass."""
+    table = generate_null(3, 4, 10, seed=6).pmf.copy()
+    table[:, :, 4] = 0.0
+    return JointDistribution(3, 4, 10, table / table.sum())
+
+
+class TestSameBitsAsPerSliceLoops:
+    # (100, 100, 50): l1*l2 exceeds numpy's 8,192-element reduction buffer.
+    SHAPES = [(2, 2, 300), (3, 5, 1000), (4, 8, 5000), (7, 13, 777),
+              (16, 16, 400), (100, 100, 50)]
+
+    @staticmethod
+    def _check(joint, magnitude, seed):
+        ref_table, clipped = _perturb_loop(joint, magnitude, seed)
+        pert = perturb(joint, magnitude, seed)
+        assert np.array_equal(pert.pmf, ref_table)
+        rates, weights = _build_model_loop(pert, 1e5)
+        model = build_model(pert, 1e5)
+        assert np.array_equal(model.rates, rates)
+        assert np.array_equal(model.weights, weights)
+        for z in range(pert.n):
+            mass, cond, q, eps = _slice_loop(pert, z)
+            s = conditional_slice(pert, z)
+            assert (s.mass, s.eps) == (mass, eps)
+            if cond is None:
+                assert s.cond is None and s.product is None
+            else:
+                assert np.array_equal(s.cond, cond)
+                assert np.array_equal(s.product, q)
+        return clipped
+
+    @pytest.mark.parametrize("magnitude", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_perturb_build_model_and_slices(self, shape, magnitude):
+        clipped = self._check(generate_null(*shape, seed=7), magnitude, 7)
+        if magnitude == 1.0:
+            assert clipped > 0  # d = mass/4 exceeds a cell somewhere
+
+    def test_null_table(self):
+        rates, weights = _build_model_loop(generate_null(4, 8, 5000, 2), 1e5)
+        model = build_model(generate_null(4, 8, 5000, 2), 1e5)
+        assert np.array_equal(model.rates, rates)
+        assert np.array_equal(model.weights, weights)
+
+    def test_zero_mass_slice(self):
+        joint = _with_zero_slice()
+        self._check(joint, 0.5, 3)
+        assert build_model(joint, 10.0).weights[4] == 0.0

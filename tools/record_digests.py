@@ -71,6 +71,15 @@ RECORDS = {
     "simulate-d reps 20000": ["simulate-d", "--seed", "1", "--reps", "20000"],
     "simulate-d reps 20000 csv": ["simulate-d", "--seed", "1", "--reps",
                                   "20000", *CSV],
+    # Slices of 10,000 entries, above numpy's 8,192-element reduction
+    # buffer, six to a chunk of the table.
+    "simulate-d l1 100 l2 100": ["simulate-d", "--l1", "100", "--l2", "100",
+                                 "--n", "20", "--m", "1e4", "--reps", "300",
+                                 "--seed", "3"],
+    # The unperturbed null model, whose weights are rounding residues, with
+    # 100,000 replications: each slice's stream runs over two blocks.
+    "simulate-d magnitude 0": ["simulate-d", "--magnitude", "0", "--seed",
+                               "2"],
     "h": ["h"],
     "complexity map bench": MAP,
     "complexity map bench csv": [*MAP, *CSV],
