@@ -34,8 +34,8 @@ class JointDistribution:
         if table.shape != (self.l1, self.l2, self.n):
             raise ValueError(f"pmf shape {table.shape} does not match "
                              f"({self.l1}, {self.l2}, {self.n})")
-        if np.any(table < 0):
-            raise ValueError("pmf entries must be nonnegative")
+        if not np.all((table >= 0.0) & (table < math.inf)):
+            raise ValueError("pmf entries must be finite and nonnegative")
         if abs(float(table.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {table.sum()} is not 1 within {MASS_TOL}")
         table = table.copy()

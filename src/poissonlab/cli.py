@@ -22,6 +22,7 @@ from .poisson_core import (
     DEFAULT_TOL,
     ORACLE_POINTS,
     CappedFunctional,
+    SkippedPoint,
     moments_many,
     monte_carlo_moments,
     thread_map,
@@ -227,8 +228,8 @@ def cmd_simulate_d(args) -> int:
     chain = exact.chain_check()
     try:
         ratio = exact.variance_mean_ratio()
-    except inequality_lab.SkippedPoint:
-        ratio = None
+    except SkippedPoint:
+        ratio = "skipped"
 
     mc_ok = (abs(mc.mean_hat - exact.mean) <= 4.0 * mc.se_mean
              and abs(mc.var_hat - exact.variance) <= 4.0 * mc.se_var)
@@ -237,7 +238,7 @@ def cmd_simulate_d(args) -> int:
         "exact": {"mean": exact.mean, "variance": exact.variance,
                   "tail_bound": exact.tail_bound},
         "mc": dataclasses.asdict(mc),
-        "ratio": ratio if ratio is not None else "skipped",
+        "ratio": ratio,
         "chain": dataclasses.asdict(chain),
         "mc_within_4se": mc_ok,
     }

@@ -16,8 +16,8 @@ import numpy as np
 
 from .ci_model import DStatisticModel
 from .poisson_core import (DEFAULT_TOL, DENOMINATOR_FLOOR, _MC_CHUNK,
-                           CappedFunctional, SkippedPoint, moments_many,
-                           thread_map)
+                           CappedFunctional, SkippedPoint, _capped,
+                           moments_many, thread_map)
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,14 @@ def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
 
 
 def _fill(block):
-    """Row i: slice i's weighted f at its stream's next `size` draws; streams
-    start on the thread filling a group's first block; f runs once, in place."""
-    group, rngs, size, seed, model = block
-    if not rngs:
-        rngs.extend(_slice_rng(seed, z) for _, _, z in group)
+    """Row i: slice i's weight times f (_capped) at its stream's next `size`
+    draws. A block is plain data, (group, streams, size, caps): (weight,
+    rate, z) slices, their _slice_rng streams, built by the caller, and caps."""
+    group, rngs, size, caps = block
     x = np.empty((len(group), size))
     for row, (_, rate, _), rng in zip(x, group, rngs):
         row[:] = rng.poisson(rate, size=size)
-    f = np.minimum(x, model.cap_a)
-    f *= np.minimum(x, model.cap_b)
-    np.sqrt(f, out=f)
-    f *= x
-    f[x < CappedFunctional.threshold] = 0.0
+    f = _capped(x, *caps)
     f *= np.array([[w] for w, _, _ in group])
     return f
 
@@ -121,10 +116,10 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int,
     Replication r's total is the sum, in slice order, of each slice's
     weighted functional at the r-th draw of its _slice_rng stream. The
     contributions come in blocks of at most _MC_CHUNK: whole slices when
-    the replications fit, else one slice's next run of draws. Per round, up
-    to `threads` threads fill one block each, building its streams and
-    evaluating f once (_fill); the caller adds the rows into the totals in
-    slice order, so every bit of the result is the same for any thread count.
+    the replications fit, else one slice's next run of draws. Per round the
+    caller builds up to `threads` groups' streams, threads fill one block
+    each (_fill), and the caller adds the rows into the totals in slice
+    order, so every bit of the result is the same for any thread count.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -134,12 +129,14 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int,
     cols = min(replications, _MC_CHUNK)
     per_block = _MC_CHUNK // cols
     groups = [slices[i : i + per_block] for i in range(0, len(slices), per_block)]
+    caps = (model.cap_a, model.cap_b)
     totals = np.zeros(replications)
     for g in range(0, len(groups), threads):
-        streams = [(group, []) for group in groups[g : g + threads]]
+        streams = [(group, [_slice_rng(seed, z) for _, _, z in group])
+                   for group in groups[g : g + threads]]
         for c0 in range(0, replications, cols):
             size = min(cols, replications - c0)
-            blocks = [(group, rngs, size, seed, model) for group, rngs in streams]
+            blocks = [(group, rngs, size, caps) for group, rngs in streams]
             for rows in thread_map(_fill, blocks, threads):
                 for row in rows:
                     totals[c0 : c0 + size] += row

@@ -119,10 +119,15 @@ class MonteCarloMoments:
 
 
 def _capped(x: np.ndarray, cap_a, cap_b) -> np.ndarray:
-    """x*sqrt(min(x,a)*min(x,b))*1(x >= t) on a float array; the caps are
-    scalars or arrays of the same length."""
-    root = np.sqrt(np.minimum(x, cap_a) * np.minimum(x, cap_b))
-    return np.where(x >= CappedFunctional.threshold, x * root, 0.0)
+    """x*sqrt(min(x,a)*min(x,b))*1(x >= t) in one new array, for a float64
+    array x of any shape, 0-d included, and caps that are scalars or arrays
+    of x's shape. The only code in the package that evaluates f."""
+    f = np.minimum(x, cap_a, out=np.empty_like(x))
+    f *= np.minimum(x, cap_b)
+    np.sqrt(f, out=f)
+    f *= x
+    f[x < CappedFunctional.threshold] = 0.0
+    return f
 
 
 def functional_value(x, f: CappedFunctional):
@@ -204,7 +209,7 @@ def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 # are binned in blocks of _EXACT_ELEMENTS, which also bounds the
 # temporaries. A segment's limbs, over every block it spans, add up to one
 # Python int, and int / int division rounds it correctly, half to even:
-# the bits math.fsum returns.
+# the bits math.fsum returns. A value of +0.0 splits into three zero pieces.
 _EXACT_ELEMENTS = 2**14
 _ORIGIN = 1126
 _SCALE = 1 << _ORIGIN
@@ -216,29 +221,25 @@ def _exact_sums(values: np.ndarray, starts) -> list:
     starts (nondecreasing, the first 0; each segment runs to the next start
     and the last to the end), the bits math.fsum returns for each.
 
-    For nonnegative finite values. A segment holding anything else (a NaN,
-    an inf, a negative value or -0.0) is summed by math.fsum. A sum beyond
-    the float range raises OverflowError, as math.fsum does.
+    The values must be finite and >= 0; a negative value, -0.0, a NaN or
+    an inf raises ArithmeticError. No engine term f^k p is one: p is an exp
+    and f is +0.0 or a root of nonnegative minima times x, and f^4 <= x^8
+    is finite at every rate within the term budget (below about 1.3e11). A
+    sum beyond the float range raises OverflowError, as math.fsum does.
     """
     values = np.asarray(values, dtype=np.float64)
+    if np.any(np.signbit(values) | ~(values < math.inf)):
+        raise ArithmeticError("exact sums take finite values >= 0")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(values)
     totals = [0] * len(starts)
-    other = set()
     for a in range(0, n, _EXACT_ELEMENTS):
         b = min(n, a + _EXACT_ELEMENTS)
         first = int(np.searchsorted(starts, a, "right")) - 1
         stop = int(np.searchsorted(starts, b))
         local = np.maximum(starts[first:stop] - a, 0)
         seg = np.repeat(np.arange(stop - first), np.diff(local, append=b - a))
-        v = values[a:b]
-        keep = (v > 0.0) & (v < math.inf)
-        if not keep.all():
-            other.update((seg[np.signbit(v) | ~(v < math.inf)] + first).tolist())
-            v, seg = v[keep], seg[keep]
-            if not len(v):
-                continue
-        w, q = np.frexp(v)
+        w, q = np.frexp(values[a:b])
         q += _ORIGIN - 53
         w *= _MANTISSA[q & 31]
         q >>= 5
@@ -265,11 +266,7 @@ def _exact_sums(values: np.ndarray, starts) -> list:
             total = int.from_bytes(even[j * ne : (j + 1) * ne], "little")
             total += int.from_bytes(odd[j * no : (j + 1) * no], "little") << 32
             totals[first + j] += total << (32 * qmin)
-    ends = [*starts[1:].tolist(), n]
-    return [
-        math.fsum(values[starts[i] : ends[i]]) if i in other else t / _SCALE
-        for i, t in enumerate(totals)
-    ]
+    return [t / _SCALE for t in totals]
 
 
 # Each side of the summation window is widened until its certified tail is

@@ -157,6 +157,14 @@ class TestModel:
         with pytest.raises(ValueError):
             JointDistribution(2, 2, 1, np.full((2, 2, 1), -0.25))
 
+    @pytest.mark.parametrize("entry", [float("nan"), math.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        # A NaN passes both "< 0" and the mass check, which compare False.
+        table = np.full((2, 2, 1), 0.25)
+        table[0, 0, 0] = entry
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(2, 2, 1, table)
+
     @pytest.mark.parametrize("m", [float("nan"), math.inf, 0.0, -1.0])
     def test_build_rejects_m_outside_zero_to_infinity(self, m):
         with pytest.raises(ValueError, match="sample-size parameter"):

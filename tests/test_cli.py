@@ -141,6 +141,7 @@ class TestRecords:
         assert [r["exact"]["mean"], r["exact"]["variance"],
                 r["mc"]["mean_hat"], r["mc"]["var_hat"]] == [0.0] * 4
         assert r["mc_within_4se"] is True
+        assert r["ratio"] == "skipped"
 
     def test_oracle_check(self, capsys):
         code, doc = run_json(capsys, "oracle-check", "--draws", "200000")
@@ -227,6 +228,17 @@ class TestNoVacuousCertificate:
         assert r["certified"] is False and r["records"] == []
         assert r["skipped"]
         assert all(s["reason"].startswith("ValueError") for s in r["skipped"])
+
+    def test_term_outside_exact_sums_exits_numeric(self, capsys, monkeypatch):
+        # A negative term, which no real f can give, raises ArithmeticError
+        # in the exact sums: exit 70 with a message, not a traceback.
+        capped = poisson_core._capped
+        monkeypatch.setattr(poisson_core, "_capped",
+                            lambda x, a, b: -capped(x, a, b))
+        code = main(["simulate-d", "--n", "5", "--reps", "100",
+                     "--l1", "2", "--l2", "2"])
+        assert code == EX_NUMERIC
+        assert "exact sums take finite values >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from poissonlab.poisson_core import (
     _LOG_FACTORIAL,
     _MC_CHUNK,
     _PAIRWISE_TERMS,
+    _capped,
     _certified_windows,
     _draw_counts,
     _fp_rel,
@@ -137,6 +138,64 @@ class TestFunctionalValue:
         assert f1.cap_a == 3.0 and f1.cap_b == 7.0
         for x in range(0, 20):
             assert functional_value(x, f1) == functional_value(x, f2)
+
+
+def _capped_reference(x, a, b):
+    """f by the out-of-place form: x * root where x >= t, else 0."""
+    root = np.sqrt(np.minimum(x, a) * np.minimum(x, b))
+    return np.where(x >= CappedFunctional.threshold, x * root, 0.0)
+
+
+class TestCappedBits:
+    """_capped, the one evaluation of f, against the out-of-place form."""
+
+    @staticmethod
+    def _same_bits(x, a, b):
+        before = x.copy()
+        got = _capped(x, a, b)
+        want = _capped_reference(x, a, b)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()  # a new array; x is untouched
+
+    def test_windows_with_per_element_caps(self):
+        # Windows end to end, as the summation pass lays them out: each
+        # element carries its window's caps, inf and 1e6 among them.
+        caps = [(2.0, 4.0), (0.25, 0.75), (1e6, 1e6), (2.5, math.inf),
+                (math.inf, math.inf), (16.0, 64.0)]
+        spans = [(0, 40), (4, 90), (3, 500), (900, 1300), (10**9, 10**9 + 300),
+                 (2, 6)]
+        x = np.concatenate([np.arange(lo, hi + 1.0) for lo, hi in spans])
+        reps = [hi + 1 - lo for lo, hi in spans]
+        a = np.repeat([c[0] for c in caps], reps)
+        b = np.repeat([c[1] for c in caps], reps)
+        self._same_bits(x, a, b)
+
+    @pytest.mark.parametrize("rate, caps", [
+        (0.5, (4, 8)), (12.0, (4, 8)), (150.0, (100, 100)), (7.0, (1, 1)),
+        (3e4, (2, 3)),
+    ])
+    def test_blocks_with_integer_caps(self, rate, caps):
+        # (slices, draws) blocks of Poisson draws, the Monte Carlo layout.
+        rng = np.random.default_rng(7)
+        x = rng.poisson(rate, size=(6, 2000)).astype(np.float64)
+        self._same_bits(x, *caps)
+
+    def test_below_threshold(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 3.5, np.nextafter(4.0, 0.0), 4.0,
+                      np.nextafter(4.0, 5.0), 5.0])
+        self._same_bits(x, 2.0, 9.0)
+        assert not _capped(x, 2.0, 9.0)[:6].any()
+        assert _capped(x, 2.0, 9.0)[6] == 4.0 * math.sqrt(8.0)
+
+    @pytest.mark.parametrize("caps", [(2.0, 2.0), (3.0, 7.0), (1e6, 1e6),
+                                      (0.25, math.inf)])
+    def test_zero_dim_through_functional_value(self, caps):
+        f = CappedFunctional(5.0, *caps)
+        for x in [0, 3, 4, 5, 17, 10**6, 2.0**40]:
+            got = functional_value(x, f)
+            want = float(_capped_reference(np.float64(x), *caps))
+            assert type(got) is float and got.hex() == want.hex()
 
 
 class TestExpectation:

@@ -95,12 +95,11 @@ class TestExactSums:
                 math.fsum(values[999:])]
         assert _hex(got) == _hex(want)
 
-    def test_other_values_take_fsum(self):
-        segments = [[1.0, math.inf], [-1.0, 3.0], [2.0, 0.5], [-0.0]]
-        got = _exact_sums(*_flat(segments))
-        assert _hex(got) == _hex([math.fsum(s) for s in segments])
-        nan = _exact_sums(np.array([0.5, math.nan, 1.0]), [0, 1])
-        assert nan[0] == 0.5 and math.isnan(nan[1])
+    @pytest.mark.parametrize("bad", (-1.0, -0.0, math.nan, math.inf))
+    def test_negative_or_non_finite_values_raise(self, bad):
+        values = np.array([2.0, 0.5, 0.0, bad, 1.0])
+        with pytest.raises(ArithmeticError, match="finite values >= 0"):
+            _exact_sums(values, [0, 2])
 
     def test_overflow_raises_like_fsum(self):
         big = [1.7e308, 1.7e308]
