@@ -195,9 +195,13 @@ def _pmf(x: np.ndarray, log_lam, lam) -> np.ndarray:
     return np.exp(logp, out=logp)
 
 
-def _pmf_window(lam: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(lo, hi + 1, dtype=np.float64)
-    return x, _pmf(x, math.log(lam), lam)
+def _window_terms(x: np.ndarray, fs, reps) -> tuple[np.ndarray, np.ndarray]:
+    """p and f at the integer-valued floats x, the one builder of window
+    terms: functional i's rate and caps fill reps[i] elements in turn."""
+    p = _pmf(x, np.repeat([math.log(f.lam) for f in fs], reps),
+             np.repeat([f.lam for f in fs], reps))
+    return p, _capped(x, np.repeat([f.cap_a for f in fs], reps),
+                      np.repeat([f.cap_b for f in fs], reps))
 
 
 # Exact summation. A double v > 0 is M * 2^E with an integer M < 2^53 and
@@ -281,47 +285,49 @@ _BATCH_ELEMENTS = 2**15
 
 class _Window(NamedTuple):
     """A certified summation window [lo, hi] of one functional: for
-    k = 1..K, sums[k] is the correctly rounded sum of f^k p over it and
-    trunc[k] the certified tail of that sum outside it; terms is its width,
-    hi - lo + 1 (0 for a rate or cap of 0), and ptail the certified tail of
-    the pmf p outside it, from the same edge terms, at lo - 1 and hi + 1."""
+    k = 1..K, sums[k - 1] is the correctly rounded sum of f^k p over it and
+    trunc[k - 1] the certified tail of that sum outside it; terms is its
+    width (0 for a rate or cap of 0, whose window is (0, -1)), and ptail
+    the certified tail of the pmf p outside it, from the same edge terms,
+    at lo - 1 and hi + 1."""
 
     lo: int
     hi: int
-    sums: dict
-    trunc: dict
-    terms: int
+    sums: tuple
+    trunc: tuple
     ptail: float
 
+    @property
+    def terms(self) -> int:
+        return self.hi - self.lo + 1
 
-def _first_window(f, floor, max_terms):
+
+def _first_window(f, max_terms):
     """[lo, hi] of f's first summation window (see _certified_windows)."""
     lam = f.lam
     h = 14.0 * math.sqrt(lam + 1.0) + 16.0
-    width = min(2.0 * h, lam + h - floor)
+    width = min(2.0 * h, lam + h)
     if width > max_terms:
         raise TruncationError(
             f"summation window of {width:.6g} terms exceeds the "
             f"{max_terms}-term budget"
         )
-    lo = max(floor, math.floor(lam - h))
-    return lo, max(math.ceil(lam + h), f.threshold + 16, 48)
+    return max(0, math.floor(lam - h)), max(math.ceil(lam + h), 48)
 
 
-def _window_pass(fs, lo, hi, floor, tol, max_power):
-    """Sums and tail tests of the windows [lo[i], hi[i]] (ints) of the
-    functionals fs (rates > 0), as _certified_windows defines them.
+def _window_pass(fs, lo, hi, tol, max_power):
+    """The windows [lo[i], hi[i]] (ints) of the functionals fs (rates > 0),
+    summed and tested as _certified_windows defines them.
 
-    Returns (sums, trunc, left_ok, right_ok, ptail): sums[k - 1][i] and
-    trunc[k - 1][i] are window i's sum and tail of f^k p (see _Window),
-    left_ok[i] and right_ok[i] whether each side's tail is below the cut
-    for every power, and ptail[i] the tail of p alone, power 0, from the
-    same two edge-term bounds (r bounds p's term ratio too; ptail widens no
-    window). The windows lie end to end; window i's edge terms, lo - 1
-    (unread at the floor) and hi + 1, are 2i and 2i + 1 of an array apart.
-    Per-rate scalars come from math (log lambda, r), and every element
-    takes the same operations in the same order for one window or many, so
-    a window's results do not depend on its pass.
+    Returns [(window, left_ok, right_ok)], in the order of fs: each _Window
+    and whether each of its sides' tails is below the cut for every power.
+    ptail, the tail of p alone (power 0), comes from the same two edge-term
+    bounds (r bounds p's term ratio too) and widens no window. The windows
+    lie end to end; window i's edge terms, lo - 1 (unread at lo = 0) and
+    hi + 1, are 2i and 2i + 1 of an array apart. Per-rate scalars come
+    from math (log lambda, r), and every element takes the same operations
+    in the same order for one window or many, so a window's results do not
+    depend on its pass.
     """
     n = len(fs)
     lam = np.array([f.lam for f in fs])
@@ -329,22 +335,14 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
         (f.lam / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
         for f, h in zip(fs, hi)
     ])
-
-    def terms_at(x, reps):
-        # p and f at x; window i's parameters fill reps[i] elements in turn.
-        p = _pmf(x, np.repeat([math.log(v) for v in lam], reps),
-                 np.repeat(lam, reps))
-        return p, _capped(x, np.repeat([f.cap_a for f in fs], reps),
-                          np.repeat([f.cap_b for f in fs], reps))
-
     sizes = np.array(hi) + 1 - lo
     starts = np.cumsum(sizes) - sizes
     x = np.arange(starts[-1] + sizes[-1], dtype=np.float64)
     x -= np.repeat(starts - lo, sizes)
-    p, fv = terms_at(x, sizes)
-    left = np.array(lo) > floor
+    p, fv = _window_terms(x, fs, sizes)
+    left = np.array(lo) > 0
     x = np.column_stack((np.array(lo) - left, np.array(hi) + 1.0)).ravel()
-    edge_p, edge_f = terms_at(x, 2)
+    edge_p, edge_f = _window_terms(x, fs, 2)
     left_den = 1.0 - np.divide(x[::2], lam, out=np.zeros(n), where=left)
 
     def tails(edges):
@@ -368,22 +366,25 @@ def _window_pass(fs, lo, hi, floor, tol, max_power):
         right_ok &= right <= cut
         trunc.append((left_tail + right).tolist())
         sums.append(_exact_sums(terms, starts))
-    return sums, trunc, left_ok, right_ok, ptail
+    windows = map(_Window, lo, hi, zip(*sums), zip(*trunc), ptail)
+    return list(zip(windows, left_ok.tolist(), right_ok.tolist()))
 
 
-def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
+def _certified_windows(fs, tol, max_power, max_terms) -> Iterator:
     """Yields, in the order of fs, each functional's certified _Window or
-    the TruncationError that ended its widening.
+    the TruncationError that ended its widening: one layout for the moment
+    engine and the pairwise oracle alike.
 
-    A rate or cap of 0 gives zero sums and 0 terms. The first window has
-    half-width h = 14*sqrt(lambda+1) + 16: lo = max(floor, floor(lambda -
-    h)) and hi = max(ceil(lambda + h), t + 16, 48), so its cost grows like
-    sqrt(lambda). The tails are geometric, from the edge terms:
+    A rate or cap of 0 gives the window (0, -1). The first window has
+    half-width h = 14*sqrt(lambda+1) + 16: lo = max(0, floor(lambda - h))
+    and hi = max(ceil(lambda + h), 48), so its cost grows like
+    sqrt(lambda); below t its terms are 0. The tails are geometric, from
+    the edge terms:
 
     - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
       most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
       the tail is at most term(hi+1) / (1 - r) once r < 1;
-    - left (when lo > floor): f is nondecreasing and p(x-1)/p(x) = x/lambda,
+    - left (when lo > 0): f is nondecreasing and p(x-1)/p(x) = x/lambda,
       so the tail is at most term(lo-1) / (1 - (lo-1)/lambda).
 
     A side is widened, by doubling its reach from lambda, until for every
@@ -399,13 +400,12 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
     so a consumer that stops at a failure does not pay for the wide
     windows after it.
     """
-    powers = range(1, max_power + 1)
     known = {}  # index -> result, until it is yielded
 
     def queued(i, lo, hi):
         # [(i, lo, hi, elements)] within the budget, else [] with the error
         # in known[i].
-        size = hi + 2 - (lo - (lo > floor))
+        size = hi + 2 - (lo - (lo > 0))
         if size <= max_terms:
             return [(i, lo, hi, size)]
         known[i] = TruncationError(
@@ -417,11 +417,11 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
     pending = []
     for i, f in enumerate(fs):
         if f.lam == 0.0 or f.cap_a == 0.0:
-            zero = dict.fromkeys(powers, 0.0)
-            known[i] = _Window(0, -1, zero, zero, 0, 0.0)
+            zero = (0.0,) * max_power
+            known[i] = _Window(0, -1, zero, zero, 0.0)
             continue
         try:
-            pending += queued(i, *_first_window(f, floor, max_terms))
+            pending += queued(i, *_first_window(f, max_terms))
         except TruncationError as exc:
             known[i] = exc
 
@@ -439,19 +439,16 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
             used += item[3]
         del pending[: len(chunk)]
         idx, lo, hi, _ = zip(*chunk)
-        sums, trunc, left_ok, right_ok, ptail = _window_pass(
-            [fs[i] for i in idx], lo, hi, floor, tol, max_power)
+        passed = _window_pass([fs[i] for i in idx], lo, hi, tol, max_power)
         widened = []
-        for j, (i, lo, hi, _) in enumerate(chunk):
-            if left_ok[j] and right_ok[j]:
-                known[i] = _Window(lo, hi, {k: sums[k - 1][j] for k in powers},
-                                   {k: trunc[k - 1][j] for k in powers},
-                                   hi - lo + 1, ptail[j])
+        for i, (w, left_ok, right_ok) in zip(idx, passed):
+            if left_ok and right_ok:
+                known[i] = w
                 continue
-            lam = fs[i].lam
-            if not left_ok[j]:
-                lo = max(floor, lo - max(16, math.ceil(lam - lo)))
-            if not right_ok[j]:
+            lo, hi, lam = w.lo, w.hi, fs[i].lam
+            if not left_ok:
+                lo = max(0, lo - max(16, math.ceil(lam - lo)))
+            if not right_ok:
                 hi += max(16, math.ceil(hi - lam))
             widened += queued(i, lo, hi)
         pending[:0] = widened
@@ -459,21 +456,19 @@ def _certified_windows(fs, floor, tol, max_power, max_terms) -> Iterator:
 
 def _batched_moments(fs, tol, order) -> Iterator:
     """Yields, in the order of fs, the Moments of each functional or the
-    ArithmeticError computing them raised, from _certified_windows with
-    floor t."""
-    t = CappedFunctional.threshold
-    for f, w in zip(fs, _certified_windows(fs, t, tol, order, MAX_TERMS)):
+    ArithmeticError computing them raised, from _certified_windows."""
+    for f, w in zip(fs, _certified_windows(fs, tol, order, MAX_TERMS)):
         if isinstance(w, _Window):
             try:
-                w = _moments(f, w.sums, w.trunc, w.terms, order)
+                w = _moments(f, w, order)
             except ArithmeticError as exc:
                 w = exc
         yield w
 
 
-def _moments(f, sums, trunc, n, order) -> Moments:
-    """Moments of f from its window sums, tails and width, each certified
-    as it is built: a bound above its value raises TruncationError."""
+def _moments(f, w, order) -> Moments:
+    """Moments of f from its _Window w, each certified as it is built: a
+    bound above its value raises TruncationError."""
     fp = _fp_rel(f.lam)
 
     def certified(name, value, bound):
@@ -484,20 +479,20 @@ def _moments(f, sums, trunc, n, order) -> Moments:
                 f"certified bound {bound!r} exceeds the {name} "
                 f"{value!r} at {(f.lam, f.cap_a, f.cap_b)}"
             )
-        return MomentEstimate(value, bound, n)
+        return MomentEstimate(value, bound, w.terms)
 
-    s1, t1 = sums[1], trunc[1]
+    s1, t1 = w.sums[0], w.trunc[0]
     mean = certified("mean", s1, t1 + fp * s1)
     if order == 1:
         return Moments(mean)
 
-    s2, t2 = sums[2], trunc[2]
+    s2, t2 = w.sums[1], w.trunc[1]
     tail = t2 + 2.0 * s1 * t1 + t1**2 + fp * (s2 + s1 * s1)
     var = certified("variance", max(s2 - s1 * s1, 0.0), tail)
     if order == 2:
         return Moments(mean, var)
 
-    s3, s4, t3, t4 = sums[3], sums[4], trunc[3], trunc[4]
+    (s3, s4), (t3, t4) = w.sums[2:], w.trunc[2:]
     mu4 = s4 - 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 - 3.0 * s1**4
     gross = s4 + 4.0 * s1 * s3 + 6.0 * s1 * s1 * s2 + 3.0 * s1**4
     tail = (
@@ -533,10 +528,11 @@ def moments(
     """Certified moments of f(X) up to the given order (1, 2 or 4) from one
     summation pass: moments_many([f], tol, order).
 
-    The sums come from f's _certified_windows window with floor t, its
-    tails cut at min(tol/16, 2^-100 * the largest term) for every power,
-    each sum correctly rounded (_exact_sums). The variance is E[f^2] - E[f]^2
-    with the error bound propagated; it has no other route. Order 4 adds
+    The sums come from f's _certified_windows window, at order 2 the
+    window variance_pairwise sums over, its tails cut at min(tol/16,
+    2^-100 * the largest term) for every power, each sum correctly rounded
+    (_exact_sums). The variance is E[f^2] - E[f]^2 with the error bound
+    propagated; it has no other route. Order 4 adds
     the fourth central moment E[(f(X) - E f(X))^4], used for variance
     standard-error bands. A higher order can widen the summation window,
     which moves lower moments in the last bit, so ask for the lowest order
@@ -572,31 +568,30 @@ def variance_pairwise(
 ) -> MomentEstimate:
     """Independent variance oracle: (1/2) sum_{x,y} (f(x)-f(y))^2 p(x)p(y).
 
-    The double sum runs over the engine's window (_certified_windows with
-    floor 0, not t, powers 1 and 2 and the _PAIRWISE_TERMS budget), so it
-    is cut where the engine's is, at min(tol/16, 2^-100 * the largest term)
-    on f and f^2: draws with f = 0 still pair against nonzero values and
-    contribute to E[(W - W')^2]. Pairs with a member outside the window are
-    bounded via (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2, with the window's f^2
-    and pmf tails (_Window's trunc[2] and ptail). The sum is over the upper
-    triangle, x < y, and stays O(W^2), so it shares no arithmetic with the
+    The double sum runs over the engine's order-2 window, from
+    _certified_windows with powers 1 and 2 and the _PAIRWISE_TERMS budget,
+    and its terms come from the engine's builder, _window_terms. So it is
+    cut where the engine's is, at min(tol/16, 2^-100 * the largest term) on
+    f and f^2, and it reaches below t wherever the mass does: draws with
+    f = 0 still pair against nonzero values and contribute to
+    E[(W - W')^2]. Pairs with a member outside the window are bounded via
+    (f(x)-f(y))^2 <= 2 f(x)^2 + 2 f(y)^2, with the window's f^2 and pmf
+    tails (_Window's trunc[1] and ptail). The sum is over the upper
+    triangle, x < y, and stays O(W^2), so it shares no sum with the
     engine's E[f^2] - E[f]^2. Returns the MomentEstimate (value, bound,
     window width). A window wider than _PAIRWISE_TERMS raises
     TruncationError before anything is allocated.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    (w,) = _certified_windows([f], 0, tol, 2, _PAIRWISE_TERMS)
+    (w,) = _certified_windows([f], tol, 2, _PAIRWISE_TERMS)
     if isinstance(w, TruncationError):
         raise w
-    if not w.terms:
+    n = w.terms
+    if not n:
         return MomentEstimate(0.0, 0.0, 0)
 
-    # The window's terms, with the operations _window_pass applies, so p
-    # and f have its bits.
-    x, p = _pmf_window(f.lam, w.lo, w.hi)
-    fv = _capped(x, f.cap_a, f.cap_b)
-    n = len(fv)
+    p, fv = _window_terms(np.arange(w.lo, w.hi + 1, dtype=np.float64), [f], n)
     rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
     for i0 in range(0, n, rows):
@@ -610,9 +605,9 @@ def variance_pairwise(
         parts.append(2.0 * float(np.sum(block[:, k:])))
     value = 0.5 * math.fsum(parts)
 
-    s1w, s2w = w.sums[1], w.sums[2]
+    s1w, s2w = w.sums
     fp = _fp_rel(f.lam) * (2.0 * s2w + s1w * s1w + value)
-    return MomentEstimate(value, 4.0 * (w.trunc[2] + w.ptail * s2w) + fp, w.terms)
+    return MomentEstimate(value, 4.0 * (w.trunc[1] + w.ptail * s2w) + fp, n)
 
 
 # Draws per temporary of a Monte Carlo sampler (512 KiB of 8-byte values).

@@ -26,7 +26,7 @@ from poissonlab.poisson_core import (
     _fp_rel,
     _log_factorial_series,
     _pmf,
-    _pmf_window,
+    _window_terms,
     expectation,
     fourth_central_moment,
     functional_value,
@@ -56,6 +56,12 @@ def log_pmf(lam: float, x: int) -> float:
 
 def pmf(lam: float, x: int) -> float:
     return math.exp(log_pmf(lam, x))
+
+
+def window_pmf(lam: float, lo: int, hi: int):
+    """(x, p) at the counts lo..hi, p from the window-term builder."""
+    x = np.arange(lo, hi + 1, dtype=np.float64)
+    return x, _window_terms(x, [CappedFunctional(lam, 1.0, 1.0)], len(x))[0]
 
 
 # Frozen reference values, computed independently with 40-digit arithmetic
@@ -312,34 +318,70 @@ class TestTwoSidedWindow:
         # than the mass. Both sums are correctly rounded, so they differ by
         # at most the dropped tails and two ulps.
         f = CappedFunctional(lam, a, b)
-        (w,) = _certified_windows([f], f.threshold, DEFAULT_TOL, order,
-                                  MAX_TERMS)
-        sums, trunc = w.sums, w.trunc
+        (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
         hi = max(3.0 * lam, f.cap_b + 16, lam + 12.0 * math.sqrt(lam + 1.0))
         if lam > 0.0:
-            x, p = _pmf_window(lam, f.threshold, math.ceil(hi) + 48)
+            x, p = window_pmf(lam, f.threshold, math.ceil(hi) + 48)
             fv = functional_value(x, f)
         else:
             fv = p = np.zeros(1)
         fpow = np.ones_like(fv)
-        for k in range(1, order + 1):
+        for k in range(order):
             fpow = fpow * fv
             ref = math.fsum(fpow * p)
-            assert abs(sums[k] - ref) <= trunc[k] + 2.0 * math.ulp(ref), k
+            assert abs(w.sums[k] - ref) <= w.trunc[k] + 2.0 * math.ulp(ref), k
 
     @pytest.mark.parametrize("lam", [1e4, 1e6])
     @pytest.mark.parametrize("caps", [(2.0, 4.0), (0.5, 1e3), (64.0, 64.0)])
     def test_terms_grow_like_sqrt_lambda(self, lam, caps):
         for order in (1, 2, 4):
             f = CappedFunctional(lam, *caps)
-            (w,) = _certified_windows([f], f.threshold, DEFAULT_TOL, order,
-                                      MAX_TERMS)
+            (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
             assert w.terms <= 30.0 * math.sqrt(lam + 1.0) + 64.0, order
 
     def test_terms_used_counts_the_window(self):
-        # At lam = 1 the window is [threshold, 48]: nothing is dropped on
-        # the left, and the right end is the floor of 48.
-        assert moments(CappedFunctional(1.0, 2.0, 2.0)).mean.terms_used == 45
+        # At lam = 1 the window is [0, 48]: nothing is dropped on the left,
+        # and the right end is the floor of 48.
+        assert moments(CappedFunctional(1.0, 2.0, 2.0)).mean.terms_used == 49
+
+    def test_oracle_sums_the_engine_window(self):
+        # One window layout: the pairwise oracle's window is the engine's
+        # at order 2, below t included.
+        for point in ORACLE_POINTS:
+            f = CappedFunctional(*point)
+            engine = moments(f, order=2).variance.terms_used
+            assert variance_pairwise(f).terms_used == engine, point
+
+    @pytest.mark.parametrize("lam, caps, order", [
+        (1e6, (2.0, 4.0), 1),
+        (1e6, (2.0, 4.0), 2),
+        (1e4, (math.inf, math.inf), 4),
+        (1e8, (2.0, 4.0), 1),
+    ])
+    def test_tails_cover_the_terms_outside(self, lam, caps, order):
+        # Each certified tail against the fsum of the same terms, from the
+        # same builder, over 60 sqrt(lam) + 200 counts on each side of the
+        # window (down to 0), past which every term is 0.0. The bounds are
+        # tight here, within 1% of these sums; without the left tail they
+        # fall to 0.72, 0.00 and 0.53 of them at 1e6, 1e4 and 1e8.
+        f = CappedFunctional(lam, *caps)
+        (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
+        reach = math.ceil(60.0 * math.sqrt(lam)) + 200
+        x = np.concatenate((np.arange(max(0, w.lo - reach), w.lo),
+                            np.arange(w.hi + 1, w.hi + reach + 1)))
+        p, fv = _window_terms(x.astype(np.float64), [f], len(x))
+
+        def outside(terms):
+            # A lower bound on the sum, within 1e-18 of it relative: terms
+            # below 2^-80 of the largest are left out, since fsum slows
+            # down over their wide range of exponents.
+            return math.fsum(terms[terms >= terms.max() * 2.0**-80])
+
+        assert w.ptail >= outside(p)
+        fpow = np.ones_like(fv)
+        for k in range(order):
+            fpow *= fv
+            assert w.trunc[k] >= outside(fpow * p), k + 1
 
     def test_cancelled_variance_rejected(self):
         # lam = 100 * 2048^2 on the falsify schedule: the window fits the
@@ -625,8 +667,7 @@ class TestInvariants:
         tol=st.sampled_from((1e-10, 1e-30)),
     )
     def test_variance_oracles_agree(self, lam, a, b, tol):
-        # At tol 1e-30 the shared window widens past its first width, also
-        # under the oracle's floor 0.
+        # At tol 1e-30 the shared window widens past its first width.
         f = CappedFunctional(lam, a, b)
         direct = variance(f, tol)
         pair = variance_pairwise(f, tol)
@@ -663,8 +704,8 @@ class TestLogFactorial:
         # The top index past 2^14 takes the series path; below 2^14 it
         # must give the table's values.
         lam, top = 16000.0, 2**14
-        x, p = _pmf_window(lam, top - 40, top + 40)
-        _, p_table = _pmf_window(lam, top - 40, top - 1)
+        x, p = window_pmf(lam, top - 40, top + 40)
+        _, p_table = window_pmf(lam, top - 40, top - 1)
         assert x[40] == top
         assert np.array_equal(p[:40], p_table)
 
@@ -672,8 +713,8 @@ class TestLogFactorial:
         # A series-path window that starts at k = 4 still takes log k! for
         # k < 12 from the exact values.
         lam = 5.0
-        _, p = _pmf_window(lam, 4, 2**14 + 8)
-        _, p_table = _pmf_window(lam, 4, 200)
+        _, p = window_pmf(lam, 4, 2**14 + 8)
+        _, p_table = window_pmf(lam, 4, 200)
         assert np.array_equal(p[:197], p_table)
         for k in range(4, 12):
             exact = math.exp(k * math.log(lam) - lam - math.log(math.factorial(k)))
@@ -707,7 +748,7 @@ class TestPmfRoundoff:
         # 64 counts across lambda +- 8 sqrt(lambda), on the Stirling series.
         reach = 8.0 * math.sqrt(lam)
         xs = np.unique(np.round(np.linspace(lam - reach, lam + reach, 64)))
-        points = [(x, lam, float(_pmf_window(lam, int(x), int(x))[1][0]))
+        points = [(x, lam, float(window_pmf(lam, int(x), int(x))[1][0]))
                   for x in xs.tolist()]
         assert self.worst_share(points) <= 1.0
 
@@ -770,7 +811,7 @@ _PAIRWISE_PINS = {
 def test_pairwise_bits_pinned(tol, point):
     lo, hi, value, bound = _PAIRWISE_PINS[tol, point]
     f = CappedFunctional(*point)
-    (w,) = _certified_windows([f], 0, tol, 2, _PAIRWISE_TERMS)
+    (w,) = _certified_windows([f], tol, 2, _PAIRWISE_TERMS)
     assert (w.lo, w.hi) == (lo, hi)
     pw = variance_pairwise(f, tol)
     assert (pw.value.hex(), pw.tail_bound.hex()) == (value, bound)

@@ -17,7 +17,7 @@ from poissonlab.poisson_core import (
     _certified_windows,
     _exact_sums,
     _first_window,
-    _pmf_window,
+    _pmf,
     _window_pass,
     functional_value,
     moments,
@@ -114,20 +114,22 @@ class TestExactSums:
 
 def _reference(f, tol, order):
     """(moments(f) or its error, the tails of f's window): the window of a
-    one-functional _certified_windows call, re-summed with math.fsum."""
-    (w,) = _certified_windows([f], f.threshold, tol, order, MAX_TERMS)
+    one-functional _certified_windows call, its terms built with scalar
+    rate and caps and re-summed with math.fsum."""
+    (w,) = _certified_windows([f], tol, order, MAX_TERMS)
     if isinstance(w, TruncationError):
-        return w, {}
-    sums = dict.fromkeys(w.sums, 0.0)
+        return w, ()
+    sums = [0.0] * order
     if w.terms:
-        x, p = _pmf_window(f.lam, w.lo, w.hi)
-        fv = functional_value(x, f)
+        x = np.arange(w.lo, w.hi + 1, dtype=np.float64)
+        p, fv = _pmf(x, math.log(f.lam), f.lam), functional_value(x, f)
         fpow = np.ones_like(fv)
-        for k in sums:
+        for k in range(order):
             fpow = fpow * fv
             sums[k] = math.fsum(fpow * p)
+    w = w._replace(sums=tuple(sums))
     try:
-        return poisson_core._moments(f, sums, w.trunc, w.terms, order), w.trunc
+        return poisson_core._moments(f, w, order), w.trunc
     except TruncationError as exc:
         return exc, w.trunc
 
@@ -168,7 +170,7 @@ class TestMomentsMany:
         for f, m in zip(_MIXED, got):
             ref, tails = _reference(f, tol, order)
             # Each side's tail is below tol/16.
-            assert all(t <= tol / 8 for t in tails.values()), f
+            assert all(t <= tol / 8 for t in tails), f
             if isinstance(ref, Exception):
                 assert type(m) is type(ref), f
                 assert str(m) == str(ref)
@@ -181,10 +183,10 @@ class TestMomentsMany:
                         b.value, b.tail_bound, b.terms_used), (f, name)
 
     def test_mixed_batch_covers_its_cases(self):
-        first = [_first_window(f, f.threshold, 10**13) for f in _MIXED[5:]]
+        first = [_first_window(f, 10**13) for f in _MIXED[5:]]
         assert sum(hi + 2 - lo for lo, hi in first) > poisson_core._BATCH_ELEMENTS
         got = list(moments_many(_MIXED, DEFAULT_TOL, 4))
-        lo, hi = _first_window(_MIXED[2], 4, MAX_TERMS)
+        lo, hi = _first_window(_MIXED[2], MAX_TERMS)
         assert got[2].mean.terms_used > hi - lo + 1  # widened
         assert "exceeds the variance" in str(got[3])
         assert "budget" in str(got[4])
@@ -222,30 +224,26 @@ class TestMomentsMany:
 
 def _window_of(result, i):
     """Window i's sums, tails (hex) and tail tests from a _window_pass."""
-    sums, trunc, left_ok, right_ok, ptail = result
-    return ([s[i].hex() for s in sums], [t[i].hex() for t in trunc],
-            ptail[i].hex(), bool(left_ok[i]), bool(right_ok[i]))
+    w, left_ok, right_ok = result[i]
+    return (w.lo, w.hi, [s.hex() for s in w.sums],
+            [t.hex() for t in w.trunc], w.ptail.hex(), left_ok, right_ok)
 
 
 class TestWindowPass:
     @pytest.mark.parametrize("max_power", [1, 2, 4])
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300])
     def test_each_window_as_if_alone(self, tol, max_power):
-        # Floor t: _MIXED's rates > 0 within the budget, lo > t from
-        # lam = 1e3 on. Floor 0: one window from 0, one above it. At tol
-        # 1e-300 every first window fails its tail tests.
-        batches = [
-            ([f for f in _MIXED if 0.0 < f.lam < 1e13], CappedFunctional.threshold),
-            ([CappedFunctional(2.0, 2.5, 7.5), CappedFunctional(1e3, 32.0, 32.0)], 0),
-        ]
-        for fs, floor in batches:
-            lo, hi = zip(*(_first_window(f, floor, MAX_TERMS) for f in fs))
-            assert lo[0] == floor < lo[-1]
-            together = _window_pass(fs, lo, hi, floor, tol, max_power)
-            for i, f in enumerate(fs):
-                alone = _window_pass([f], lo[i : i + 1], hi[i : i + 1], floor,
-                                     tol, max_power)
-                assert _window_of(together, i) == _window_of(alone, 0), f
+        # _MIXED's rates > 0 within the budget: windows from 0 up to
+        # lam = 1e2, above it from lam = 1e3 on. At tol 1e-300 every first
+        # window fails its tail tests.
+        fs = [f for f in _MIXED if 0.0 < f.lam < 1e13]
+        lo, hi = zip(*(_first_window(f, MAX_TERMS) for f in fs))
+        assert lo[0] == 0 < lo[-1]
+        together = _window_pass(fs, lo, hi, tol, max_power)
+        for i, f in enumerate(fs):
+            alone = _window_pass([f], lo[i : i + 1], hi[i : i + 1], tol,
+                                 max_power)
+            assert _window_of(together, i) == _window_of(alone, 0), f
 
     def test_peak_memory_of_a_wide_window(self):
         # One window of 280,035 terms at lam = 1e8. The pass builds the

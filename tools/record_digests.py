@@ -59,6 +59,11 @@ RECORDS = {
     "certify lemma1 tol 1e-300": ["certify", "lemma1", "--tol", "1e-300",
                                   "--lambda", "1,100,1e4", "--caps", "2,4",
                                   "--caps", "64,64"],
+    # lambda - h is 2.30 and 3.93: the first windows start strictly
+    # between 0 and t, where every term is 0.
+    "certify lemma1 window below t": ["certify", "lemma1", "--lambda",
+                                      "232,235", "--caps", "2,4",
+                                      "--caps", "64,64"],
     # A finite correction factor of 1e304 overflows the ratio at 1e3: no
     # plateau, exit 2.
     "certify lemma1 plateau fails": ["certify", "lemma1", "--lambda", "1",
