@@ -163,7 +163,9 @@ def cmd_certify(args) -> int:
 
     extra = {}
     if kind == "corrected":
-        plateau = inequality_lab.plateau_check(grid.cap_pairs, tol=args.tol)
+        known = {r.key(): r.ratio for r in cert.records}
+        known.update((s[:3], math.nan) for s in cert.skipped)
+        plateau = inequality_lab.plateau_check(grid.cap_pairs, args.tol, known)
         holds = plateau and all(math.isfinite(r.ratio) for r in cert.records)
         extra = {"plateau": plateau}
     elif kind == "claim21":

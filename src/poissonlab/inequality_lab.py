@@ -366,21 +366,25 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     return cert
 
 
-def plateau_check(cap_pairs, tol: float = DEFAULT_TOL) -> bool:
+def plateau_check(cap_pairs, tol: float = DEFAULT_TOL, known=None) -> bool:
     """Corrected-ratio plateau: for each pair with a, b >= 1 and a finite
     correction factor the ratio moves by less than 10% (relative) between
-    lambda = 1e3 and 1e4. The points come from one lazy _ratios stream,
-    read up to the first pair without a plateau. A pair whose ratio cannot
-    be evaluated there reads NaN and shows none; at a tolerance that is
-    not positive no pair shows one."""
+    lambda = 1e3 and 1e4. The ratios at tol come from known, a map of
+    (lambda, a, b) to a sweep's ratio or NaN where it had none, and else
+    from one lazy _ratios stream, read up to the first pair without a
+    plateau. A ratio that cannot be evaluated reads NaN and shows none; at
+    a tolerance that is not positive no pair shows one."""
+    known = known or {}
     points = [(lam, a, b) for a, b in cap_pairs
               if min(a, b) >= 1.0 and math.isfinite(correction_factor(a, b))
               for lam in (1e3, 1e4)]
     try:
-        ratios = (math.nan if isinstance(r, Exception) else r[0]
-                  for r in _ratios("corrected", points, tol))
+        stream = (math.nan if isinstance(r, Exception) else r[0] for r in
+                  _ratios("corrected", [p for p in points if p not in known],
+                          tol))
     except ValueError:  # raised at the call, for the tolerance
         return False
+    ratios = (known[p] if p in known else next(stream) for p in points)
     for r_lo, r_hi in zip(ratios, ratios):  # consecutive: 1e3, then 1e4
         if not abs(r_hi - r_lo) < 0.10 * r_lo:
             return False

@@ -204,20 +204,14 @@ def _window_terms(x: np.ndarray, fs, reps) -> tuple[np.ndarray, np.ndarray]:
                       np.repeat([f.cap_b for f in fs], reps))
 
 
-# Exact summation. A double v > 0 is M * 2^E with an integer M < 2^53 and
-# E >= -1126 (the smallest subnormal is 2^52 * 2^-1126). With
-# E + 1126 = 32 q + r, M * 2^r < 2^85 splits into three 32-bit pieces that
-# belong to the 32-bit limbs q, q + 1 and q + 2 of the sum in units of
-# 2^-1126. np.bincount adds each kind of piece per (segment, limb) in
-# float64, which is exact while a bin takes fewer than 2^21 pieces: values
-# are binned in blocks of _EXACT_ELEMENTS, which also bounds the
-# temporaries. A segment's limbs, over every block it spans, add up to one
-# Python int, and int / int division rounds it correctly, half to even:
-# the bits math.fsum returns. A value of +0.0 splits into three zero pieces.
-_EXACT_ELEMENTS = 2**14
-_ORIGIN = 1126
-_SCALE = 1 << _ORIGIN
-_MANTISSA = 2.0 ** np.arange(53, 85)  # 2^(53 + r): M * 2^r from frexp's m
+# Correctly rounded sums (Rump, Ogita and Oishi, "Accurate floating-point
+# summation, part I", SIAM J. Sci. Comput. 31, 2008). A segment of n values
+# v >= 0, its maximum below 2^e_top and n + 2 < 2^e_cnt, takes sigma =
+# 2^(e_top + e_cnt - 1). Each v splits exactly into q = fl(sigma + v) -
+# sigma and r = v - q, |r| <= ulp(sigma)/2. Partial sums of the q's are
+# multiples of ulp(sigma) below 2 sigma, where doubles lie ulp(sigma) apart:
+# their sum tau is exact in any order and blocking (blocks bound temporaries).
+_EXACT_ELEMENTS = 2**15
 
 
 def _exact_sums(values: np.ndarray, starts) -> list:
@@ -225,52 +219,51 @@ def _exact_sums(values: np.ndarray, starts) -> list:
     starts (nondecreasing, the first 0; each segment runs to the next start
     and the last to the end), the bits math.fsum returns for each.
 
-    The values must be finite and >= 0; a negative value, -0.0, a NaN or
-    an inf raises ArithmeticError. No engine term f^k p is one: p is an exp
-    and f is +0.0 or a root of nonnegative minima times x, and f^4 <= x^8
-    is finite at every rate within the term budget (below about 1.3e11). A
-    sum beyond the float range raises OverflowError, as math.fsum does.
+    With tau exact (see above), the n - 1 additions of the r's err by at
+    most gamma_{n-1} sum |r| in any order (gamma_k = k eps / (1 - k eps),
+    eps = 2^-53). With w that bound, widened for its own rounding and that
+    of R +- w (R the computed sum of r), the sum lies between tau + fl(R - w)
+    and tau + fl(R + w). Rounding is monotone: if both are one double, so is
+    the sum rounded half to even. A near-tie or sigma = inf takes math.fsum.
+
+    The values must be finite and >= 0, or ArithmeticError is raised; every
+    engine term f^k p is (p is an exp, f is +0.0 or a root of nonnegative
+    minima times x, and f^4 <= x^8 is finite within the term budget). A sum
+    beyond the float range raises OverflowError, as math.fsum does.
     """
     values = np.asarray(values, dtype=np.float64)
-    if np.any(np.signbit(values) | ~(values < math.inf)):
-        raise ArithmeticError("exact sums take finite values >= 0")
-    starts = np.asarray(starts, dtype=np.intp)
     n = len(values)
-    totals = [0] * len(starts)
-    for a in range(0, n, _EXACT_ELEMENTS):
-        b = min(n, a + _EXACT_ELEMENTS)
-        first = int(np.searchsorted(starts, a, "right")) - 1
-        stop = int(np.searchsorted(starts, b))
-        local = np.maximum(starts[first:stop] - a, 0)
-        seg = np.repeat(np.arange(stop - first), np.diff(local, append=b - a))
-        w, q = np.frexp(values[a:b])
-        q += _ORIGIN - 53
-        w *= _MANTISSA[q & 31]
-        q >>= 5
-        qmin = int(q.min())
-        limbs = int(q.max()) - qmin + 4
-        top = np.floor(w * 2.0**-64)
-        w -= top * 2.0**64
-        mid = np.floor(w * 2.0**-32)
-        w -= mid * 2.0**32
-        seg *= limbs  # the bin of each value's lowest piece
-        seg += q
-        seg -= qmin
-        size = (stop - first) * limbs
-        acc = np.bincount(seg, w, size).astype(np.int64)
-        acc[1:] += np.bincount(seg, mid, size)[:-1].astype(np.int64)
-        acc[2:] += np.bincount(seg, top, size)[:-2].astype(np.int64)
-        # Each limb is below 2^48, so the even and the odd limbs each form
-        # a little-endian number of 64-bit words.
-        acc = acc.reshape(-1, limbs)
-        even = acc[:, 0::2].astype("<u8").tobytes()
-        odd = acc[:, 1::2].astype("<u8").tobytes()
-        ne, no = 8 * ((limbs + 1) // 2), 8 * (limbs // 2)
-        for j in range(stop - first):
-            total = int.from_bytes(even[j * ne : (j + 1) * ne], "little")
-            total += int.from_bytes(odd[j * no : (j + 1) * no], "little") << 32
-            totals[first + j] += total << (32 * qmin)
-    return [t / _SCALE for t in totals]
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.concatenate((starts[1:], [n]))
+    full = np.flatnonzero(ends > starts)
+    first, last = starts[full], ends[full]  # the non-empty segments
+    top = np.maximum.reduceat(values, first)
+    if np.signbit(values).any() or not (top < math.inf).all():
+        raise ArithmeticError("exact sums take finite values >= 0")
+    sums = np.zeros((3, len(full)))  # sum q, sum r and sum |r|
+    parts = np.empty((3, min(n, _EXACT_ELEMENTS)))  # q, r and |r|
+    with np.errstate(over="ignore", invalid="ignore"):  # sigma = inf: fsum
+        sigma = np.ldexp(1.0, np.frexp(top)[1]
+                         + np.frexp(last - first + 2.0)[1] - 1)
+        for a in range(0, n, _EXACT_ELEMENTS):
+            b = min(n, a + _EXACT_ELEMENTS)
+            i = int(np.searchsorted(first, a, "right")) - 1
+            j = int(np.searchsorted(first, b))
+            local = np.maximum(first[i:j] - a, 0)
+            s = np.repeat(sigma[i:j], np.minimum(last[i:j], b) - a - local)
+            q, r, r_abs = block = parts[:, : b - a]
+            np.subtract(np.add(s, values[a:b], out=q), s, out=q)
+            np.abs(np.subtract(values[a:b], q, out=r), out=r_abs)
+            sums[:, i:j] += np.add.reduceat(block, local, axis=1)
+        tau, r_sum, r_abs = sums
+        # 2 eps n sum |r|, and the least double for an underflowed product.
+        w = r_abs * ((last - first) * 2.0**-52) + 2.0**-1074
+        lo, hi = tau + (r_sum - w), tau + (r_sum + w)
+    result = np.zeros(len(starts))
+    result[full] = lo
+    for k in np.flatnonzero(lo != hi).tolist():
+        result[full[k]] = math.fsum(values[first[k] : last[k]])
+    return result.tolist()
 
 
 # Each side of the summation window is widened until its certified tail is

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from poissonlab import poisson_core
+from poissonlab import cli, inequality_lab, poisson_core
 from poissonlab.inequality_lab import (
     GridSpec,
     SkippedPoint,
@@ -281,6 +281,47 @@ def test_plateau_one_batch_on_default_grid(engine):
     calls, _ = engine
     assert plateau_check(default_grid("lemma1").cap_pairs)
     assert calls == [42]  # 21 pairs with both caps >= 1, at 1e3 and 1e4
+
+
+def _sweep_ratios(cert):
+    """The corrected ratio at each point of a sweep, NaN where it had none,
+    as certify lemma1 hands them to plateau_check."""
+    known = {r.key(): r.ratio for r in cert.records}
+    known.update((s[:3], math.nan) for s in cert.skipped)
+    return known
+
+
+def test_certify_lemma1_sums_nothing_after_its_sweep(engine, monkeypatch,
+                                                     tmp_path):
+    _, passes = engine
+    after_sweep = []
+
+    def spy(*args):
+        cert = sweep(*args)
+        after_sweep.append(len(passes))
+        return cert
+
+    monkeypatch.setattr(inequality_lab, "sweep", spy)
+    code = cli.main(["certify", "lemma1", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert after_sweep == [len(passes)] and passes
+
+
+@pytest.mark.parametrize("lambdas, pairs, summed", [
+    (None, None, 0),  # the default grid holds every plateau point
+    ((1e4,), None, 21),  # --lambda 1e4: the 21 pairs' points at 1e3
+    ((1e3, 1e4), ((4.0, 4.0), (1e152, 1e152)), 0),  # 1e152: errored, NaN
+    ((1.0,), ((1e152, 1e152), (4.0, 4.0)), 4),  # the grid lacks them all
+])
+def test_plateau_reads_the_sweep_ratios(engine, lambdas, pairs, summed):
+    calls, _ = engine
+    grid = default_grid("lemma1", lambda_points=lambdas, cap_pairs=pairs)
+    known = _sweep_ratios(sweep(grid, "corrected"))
+    del calls[:]
+    got = plateau_check(grid.cap_pairs, grid.tol, known)
+    assert calls == [summed]
+    assert got == plateau_check(grid.cap_pairs, grid.tol)
+    assert got == (pairs is None)
 
 
 def test_witness_walk_sums_nothing_past_the_witness(engine):

@@ -108,6 +108,42 @@ class TestExactSums:
         with pytest.raises(OverflowError):
             _exact_sums(np.array(big), [0])
 
+    @pytest.mark.parametrize("e", (-1000, -3, 0, 52, 960))
+    def test_exact_at_the_edge_of_sigma(self, e):
+        # Lengths 2^k - 3 ... 2^k step e_cnt, the exponent of n + 2, at
+        # 2^k - 2; values equal to a power-of-two maximum 2^e, equal to the
+        # double just below it, or with random mantissas in [2^(e-1), 2^e),
+        # whose sum reaches about 1.5 sigma at n = 2^k - 3, where a sigma
+        # half as large loses bits. Blocks of 64 values split the longer
+        # segments.
+        rng = np.random.default_rng(e + 1074)
+        segments = []
+        for n in (2**k - d for k in (2, 3, 6, 9) for d in (3, 2, 1, 0)):
+            top = math.ldexp(1.0, e)
+            segments += [[top] * n, [math.nextafter(top, 0.0)] * n,
+                         list(np.ldexp(rng.uniform(0.5, 1.0, n), e))]
+        values, starts = _flat(segments)
+        want = _hex([math.fsum(s) for s in segments])
+        for size in (poisson_core._EXACT_ELEMENTS, 64):
+            with mock.patch.object(poisson_core, "_EXACT_ELEMENTS", size):
+                assert _hex(_exact_sums(values, starts)) == want
+
+    @pytest.mark.parametrize("segment", (
+        [1.0, 2.0**-53],  # a tie, to even below
+        [1.0 + 2.0**-52, 2.0**-53],  # a tie, to even above
+        [1.0, 2.0**-53, 2.0**-300],  # just above a tie
+        [1.0, 2.0**-53, 2.0**-600, 2.0**-1074],
+        [1.7e308],  # sigma overflows, the sum does not
+    ))
+    def test_near_ties_take_fsum(self, segment):
+        values, starts = _flat([[3.0, 0.5], segment, [2.0**-40] * 5])
+        want = _hex([3.5, math.fsum(segment), math.fsum([2.0**-40] * 5)])
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            got = _exact_sums(values, starts)
+        assert _hex(got) == want
+        assert fsum.call_count == 1
+        assert _hex(fsum.call_args.args[0]) == _hex(segment)
+
     def test_empty_and_zero_segments(self):
         assert _hex(_exact_sums(np.zeros(3), [0, 0, 2, 3])) == _hex([0.0] * 4)
 

@@ -37,8 +37,6 @@ from record_digests import ROOT, extract_src
 
 ARGS = {"l1": 4, "l2": 8, "n": 5000, "m": 1e5, "reps": 1000,
         "magnitude": 0.5, "tol": 1e-10}
-PHASES = ("generate_null", "perturb", "build_model", "exact_moments",
-          "mc_moments_1_thread", "mc_moments_2_threads", "chain_check")
 
 
 def run_phases(seed: int) -> dict:
@@ -80,14 +78,31 @@ def one_repeat(src: Path, seed: int) -> dict:
 
 
 def summary(runs: list) -> dict:
-    """Median and quartiles of each phase over the runs, and the runs."""
+    """Median and quartiles of each entry (a phase, say) over the runs, and
+    the runs."""
     result = {}
-    for name in (*PHASES, "total"):
+    for name in runs[0]:
         values = [run[name] for run in runs]
         q1, median, q3 = statistics.quantiles(values, n=4)
         result[name] = {"median": median, "q1": q1, "q3": q3,
                         "runs": values}
     return result
+
+
+def alternating(src: Path, against, repeats: int, run) -> dict:
+    """{side: [run(side's src directory) for each repeat]} for src and, with
+    against, a git ref, for that ref's src too: the sides alternate repeat
+    by repeat and take turns to go first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"src": src.resolve()}
+        if against is not None:
+            sides = {against: extract_src(against, Path(tmp)), **sides}
+        runs = {name: [] for name in sides}
+        for r in range(repeats):
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for name in order:
+                runs[name].append(run(sides[name]))
+    return runs
 
 
 def stamp() -> dict:
@@ -117,16 +132,8 @@ def main() -> int:
         return 0
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = {"src": args.src.resolve()}
-        if args.against is not None:
-            sides = {args.against: extract_src(args.against, Path(tmp)),
-                     **sides}
-        runs = {name: [] for name in sides}
-        for r in range(args.repeats):
-            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for name in order:
-                runs[name].append(one_repeat(sides[name], args.seed))
+    runs = alternating(args.src, args.against, args.repeats,
+                       lambda src: one_repeat(src, args.seed))
     record = {"args": {**ARGS, "seed": args.seed}, "repeats": args.repeats,
               "stamp": stamp(),
               "sides": {name: summary(r) for name, r in runs.items()}}
