@@ -206,6 +206,7 @@ def cmd_falsify(args) -> int:
         "a": search.cap_a,
         "b": search.cap_b,
         "ratio": search.ratio,
+        "ratio_lo": search.ratio_lo,
         "trail": [
             {"k": k, "lambda": lam, "ratio": ratio}
             for (k, lam, ratio) in search.trail

@@ -189,35 +189,41 @@ class WitnessSearch:
     cap_a: float
     cap_b: float
     ratio: float
+    ratio_lo: float  # certified lower end of the ratio at (lam, caps)
     trail: tuple  # ((k, lam, ratio), ...) along the schedule a=b=k, lam=100k^2
 
 
 def find_counterexample(target_ratio: float) -> WitnessSearch:
-    """Search the schedule a=b=k, lam=100*k^2 (k = 4, 8, ..., 2^20) for a
-    point whose plain Var/E ratio reaches the target.
+    """Search a=b=k, lam=100*k^2 (k = 4, 8, ..., 2^20), where Var/E grows
+    like k, for a witness: a point whose ratio_lo (Var - bound rounded down
+    over E + bound rounded up, the quotient rounded down) reaches the target.
 
-    The normal approximation at lam >> b makes the ratio scale like
-    sqrt(a*b) = k, so the search terminates for any reachable target. A
-    point that cannot be evaluated (a TruncationError: the term budget, or
-    a variance whose certified bound exceeds it) ends the search with the
-    best witness found. The schedule is one lazy _ratios stream, so the
-    windows after the point where the search stops are never summed.
+    A point that cannot be evaluated (a TruncationError: the term budget,
+    or a variance whose certified bound exceeds it) ends the search with
+    the best point found, the first of largest ratio. The schedule is one
+    lazy moments_many stream: no window past the witness is summed.
     """
     if target_ratio <= 0:
         raise ValueError("target ratio must be positive")
-    trail = []
-    points = [(100.0 * k * k, k, k) for k in (2**i for i in range(2, 21))]
-    for (lam, k, _), r in zip(points, _ratios("original", points, DEFAULT_TOL)):
-        if isinstance(r, Exception):
+    trail, lows = [], []
+    fs = [CappedFunctional(100.0 * 4**i, 2.0**i, 2.0**i) for i in range(2, 21)]
+    for f, m in zip(fs, moments_many(fs, DEFAULT_TOL, 2)):
+        if isinstance(m, Exception):
             break
-        ratio = r[0]
-        trail.append((k, lam, ratio))
-        if ratio >= target_ratio:
-            return WitnessSearch(True, lam, float(k), float(k), ratio, tuple(trail))
+        var, mean = m.variance, m.mean
+        trail.append((int(f.cap_a), f.lam, var.value / mean.value))
+        num = math.nextafter(var.value - var.tail_bound, -math.inf)
+        den = math.nextafter(mean.value + mean.tail_bound, math.inf)
+        lows.append(math.nextafter(num / den, -math.inf))
+        if lows[-1] >= target_ratio:
+            break
     if not trail:
-        return WitnessSearch(False, math.nan, math.nan, math.nan, math.nan, ())
-    k, lam, ratio = max(trail, key=lambda t: t[2])  # the first best
-    return WitnessSearch(False, lam, float(k), float(k), ratio, tuple(trail))
+        return WitnessSearch(False, *(math.nan,) * 5, ())
+    found = lows[-1] >= target_ratio
+    i = -1 if found else max(range(len(trail)), key=lambda i: trail[i][2])
+    k, lam, ratio = trail[i]
+    return WitnessSearch(found, lam, float(k), float(k), ratio, lows[i],
+                         tuple(trail))
 
 
 def indicator_ratio(lam: float, tol: float = DEFAULT_TOL) -> float:

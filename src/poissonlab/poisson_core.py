@@ -204,20 +204,22 @@ def _window_terms(x: np.ndarray, fs, reps) -> tuple[np.ndarray, np.ndarray]:
                       np.repeat([f.cap_b for f in fs], reps))
 
 
+# Elements per pass of windows laid end to end and per block of _exact_sums
+# (256 KiB of float64 per temporary); a wider window takes a pass of its own.
+_BATCH_ELEMENTS = 2**15
+
+
 # Correctly rounded sums (Rump, Ogita and Oishi, "Accurate floating-point
 # summation, part I", SIAM J. Sci. Comput. 31, 2008). A segment of n values
 # v >= 0, its maximum below 2^e_top and n + 2 < 2^e_cnt, takes sigma =
 # 2^(e_top + e_cnt - 1). Each v splits exactly into q = fl(sigma + v) -
 # sigma and r = v - q, |r| <= ulp(sigma)/2. Partial sums of the q's are
 # multiples of ulp(sigma) below 2 sigma, where doubles lie ulp(sigma) apart:
-# their sum tau is exact in any order and blocking (blocks bound temporaries).
-_EXACT_ELEMENTS = 2**15
-
-
-def _exact_sums(values: np.ndarray, starts) -> list:
-    """Correctly rounded sums of the segments of values that begin at
-    starts (nondecreasing, the first 0; each segment runs to the next start
-    and the last to the end), the bits math.fsum returns for each.
+# their sum tau is exact in any order and blocking.
+def _exact_sums(values, starts, top) -> list:
+    """The bits math.fsum returns for each non-empty segment of the float64
+    array values: they begin at starts (integers, increasing from 0), each
+    runs to the next start and the last to the end; top holds their maxima.
 
     With tau exact (see above), the n - 1 additions of the r's err by at
     most gamma_{n-1} sum |r| in any order (gamma_k = k eps / (1 - k eps),
@@ -231,39 +233,32 @@ def _exact_sums(values: np.ndarray, starts) -> list:
     minima times x, and f^4 <= x^8 is finite within the term budget). A sum
     beyond the float range raises OverflowError, as math.fsum does.
     """
-    values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    starts = np.asarray(starts, dtype=np.intp)
-    ends = np.concatenate((starts[1:], [n]))
-    full = np.flatnonzero(ends > starts)
-    first, last = starts[full], ends[full]  # the non-empty segments
-    top = np.maximum.reduceat(values, first)
+    ends = np.append(starts[1:], n)
     if np.signbit(values).any() or not (top < math.inf).all():
         raise ArithmeticError("exact sums take finite values >= 0")
-    sums = np.zeros((3, len(full)))  # sum q, sum r and sum |r|
-    parts = np.empty((3, min(n, _EXACT_ELEMENTS)))  # q, r and |r|
+    sums = np.zeros((3, len(starts)))  # sum q, sum r and sum |r|
+    parts = np.empty((3, min(n, _BATCH_ELEMENTS)))  # q, r and |r|
     with np.errstate(over="ignore", invalid="ignore"):  # sigma = inf: fsum
         sigma = np.ldexp(1.0, np.frexp(top)[1]
-                         + np.frexp(last - first + 2.0)[1] - 1)
-        for a in range(0, n, _EXACT_ELEMENTS):
-            b = min(n, a + _EXACT_ELEMENTS)
-            i = int(np.searchsorted(first, a, "right")) - 1
-            j = int(np.searchsorted(first, b))
-            local = np.maximum(first[i:j] - a, 0)
-            s = np.repeat(sigma[i:j], np.minimum(last[i:j], b) - a - local)
+                         + np.frexp(ends - starts + 2.0)[1] - 1)
+        for a in range(0, n, _BATCH_ELEMENTS):
+            b = min(n, a + _BATCH_ELEMENTS)
+            i = int(np.searchsorted(starts, a, "right")) - 1
+            j = int(np.searchsorted(starts, b))
+            local = np.maximum(starts[i:j] - a, 0)
+            s = np.repeat(sigma[i:j], np.minimum(ends[i:j], b) - a - local)
             q, r, r_abs = block = parts[:, : b - a]
             np.subtract(np.add(s, values[a:b], out=q), s, out=q)
             np.abs(np.subtract(values[a:b], q, out=r), out=r_abs)
             sums[:, i:j] += np.add.reduceat(block, local, axis=1)
         tau, r_sum, r_abs = sums
         # 2 eps n sum |r|, and the least double for an underflowed product.
-        w = r_abs * ((last - first) * 2.0**-52) + 2.0**-1074
+        w = r_abs * ((ends - starts) * 2.0**-52) + 2.0**-1074
         lo, hi = tau + (r_sum - w), tau + (r_sum + w)
-    result = np.zeros(len(starts))
-    result[full] = lo
     for k in np.flatnonzero(lo != hi).tolist():
-        result[full[k]] = math.fsum(values[first[k] : last[k]])
-    return result.tolist()
+        lo[k] = math.fsum(values[starts[k] : ends[k]])
+    return lo.tolist()
 
 
 # Each side of the summation window is widened until its certified tail is
@@ -271,9 +266,6 @@ def _exact_sums(values: np.ndarray, starts) -> list:
 # tail below half an ulp of the roundoff term _fp_rel(lam) * S_k (at least
 # 2e-13 * S_k), so it cannot move a reported bound.
 _REL_CUT = 2.0**-100
-# Elements per pass of windows laid end to end (256 KiB of float64 per
-# temporary); a wider window takes a pass of its own.
-_BATCH_ELEMENTS = 2**15
 
 
 class _Window(NamedTuple):
@@ -352,13 +344,13 @@ def _window_pass(fs, lo, hi, tol, max_power):
         fpow = fpow * fv
         edge_fpow = edge_fpow * edge_f
         terms = fpow * p
-        rel = _REL_CUT * np.maximum.reduceat(terms, starts)
-        cut = np.minimum(rel, tol / 16.0)
+        top = np.maximum.reduceat(terms, starts)
+        cut = np.minimum(_REL_CUT * top, tol / 16.0)
         left_tail, right = tails(edge_fpow * edge_p)
         left_ok &= left_tail <= cut
         right_ok &= right <= cut
         trunc.append((left_tail + right).tolist())
-        sums.append(_exact_sums(terms, starts))
+        sums.append(_exact_sums(terms, starts, top))
     windows = map(_Window, lo, hi, zip(*sums), zip(*trunc), ptail)
     return list(zip(windows, left_ok.tolist(), right_ok.tolist()))
 

@@ -58,6 +58,14 @@ class TestExitCodes:
         assert code == EX_PREDICATE
         assert doc["result"]["found"] is False
 
+    def test_falsify_needs_a_certified_witness(self, capsys):
+        # k = 64's point ratio, 64.0078, reaches the target; its ratio_lo,
+        # 62.04, does not.
+        code, doc = run_json(capsys, "falsify", "--target", "64.005")
+        assert code == EX_PREDICATE
+        assert doc["result"]["found"] is False
+        assert doc["result"]["ratio_lo"] < 64.005 < doc["result"]["ratio"]
+
     def test_falsify_usage(self, capsys):
         assert run(capsys, "falsify", "--target", "0")[0] == EX_USAGE
         assert run(capsys, "falsify")[0] == EX_USAGE

@@ -242,6 +242,19 @@ class TestWitnessSearch:
         assert not res.found
         assert res.ratio > 100.0  # best witness before the engine gave up
 
+    def test_witness_is_certified_by_ratio_lo(self):
+        # At k = 64 the point ratio is 64.0078, but the true ratio is 64 and
+        # the moments' bounds leave [62.04, 65.98]: no certified witness.
+        # At k = 128 ratio_lo is 58.29, and k = 256 fails its variance guard.
+        res = find_counterexample(64.005)
+        assert not res.found
+        assert (res.cap_a, res.ratio_lo) == (128.0, pytest.approx(58.29, 1e-4))
+        assert [k for k, _lam, _r in res.trail] == [4, 8, 16, 32, 64, 128]
+        res = find_counterexample(50.0)
+        assert res.found and res.cap_a == 64.0
+        assert 50.0 <= res.ratio_lo == pytest.approx(62.036, 1e-4)
+        assert res.ratio_lo < 64.0 < res.ratio
+
 
 def test_sweep_one_summation_pass_per_point(summation_calls):
     g = GridSpec(lambda_points=(1.0, 10.0), cap_pairs=((2.0, 2.0), (4.0, 16.0)))

@@ -44,11 +44,12 @@ def _tie(draw):
 
 
 _SEGMENT = st.one_of(
-    st.lists(_DOUBLES, max_size=12),
+    st.lists(_DOUBLES, min_size=1, max_size=12),
     st.lists(_SUBNORMALS, min_size=1, max_size=12),
     st.lists(_SPREAD, min_size=1, max_size=12),
     st.lists(st.just(0.0), min_size=1, max_size=3),
-    st.lists(st.one_of(_DOUBLES, st.just(0.0), _SUBNORMALS), max_size=12),
+    st.lists(st.one_of(_DOUBLES, st.just(0.0), _SUBNORMALS), min_size=1,
+             max_size=12),
     _tie(),
     _DOUBLES.map(lambda v: [v]),
 )
@@ -64,6 +65,12 @@ def _flat(segments):
     return values, starts
 
 
+def _sums(values, starts):
+    """_exact_sums as _window_pass calls it, with the segments' maxima."""
+    values, starts = np.asarray(values, np.float64), np.asarray(starts)
+    return _exact_sums(values, starts, np.maximum.reduceat(values, starts))
+
+
 class TestExactSums:
     @settings(max_examples=300, deadline=None)
     @given(segments=st.lists(_SEGMENT, min_size=1, max_size=6),
@@ -72,16 +79,16 @@ class TestExactSums:
         # budget: values binned at a time; a small one makes segments span
         # several blocks, as a window longer than the default would.
         values, starts = _flat(segments)
-        size = budget or poisson_core._EXACT_ELEMENTS
-        with mock.patch.object(poisson_core, "_EXACT_ELEMENTS", size):
-            got = _exact_sums(values, starts)
+        size = budget or poisson_core._BATCH_ELEMENTS
+        with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", size):
+            got = _sums(values, starts)
         assert _hex(got) == _hex([math.fsum(s) for s in segments])
 
     def test_ties_round_half_to_even(self):
         even, odd = 1.0, 1.0 + 2.0**-52
         segments = [[even, 2.0**-53], [odd, 2.0**-53],
                     [even, 2.0**-53, 2.0**-300], [2.0**-53, even]]
-        got = _exact_sums(*_flat(segments))
+        got = _sums(*_flat(segments))
         assert got == [1.0, 1.0 + 2.0**-51, 1.0 + 2.0**-52, 1.0]
         assert _hex(got) == _hex([math.fsum(s) for s in segments])
 
@@ -89,8 +96,8 @@ class TestExactSums:
         rng = np.random.default_rng(5)
         values = rng.random(1000) * 10.0 ** rng.integers(-300, 300, 1000)
         starts = [0, 1, 999]
-        with mock.patch.object(poisson_core, "_EXACT_ELEMENTS", 64):
-            got = _exact_sums(values, starts)
+        with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", 64):
+            got = _sums(values, starts)
         want = [math.fsum(values[:1]), math.fsum(values[1:999]),
                 math.fsum(values[999:])]
         assert _hex(got) == _hex(want)
@@ -99,14 +106,14 @@ class TestExactSums:
     def test_negative_or_non_finite_values_raise(self, bad):
         values = np.array([2.0, 0.5, 0.0, bad, 1.0])
         with pytest.raises(ArithmeticError, match="finite values >= 0"):
-            _exact_sums(values, [0, 2])
+            _sums(values, [0, 2])
 
     def test_overflow_raises_like_fsum(self):
         big = [1.7e308, 1.7e308]
         with pytest.raises(OverflowError):
             math.fsum(big)
         with pytest.raises(OverflowError):
-            _exact_sums(np.array(big), [0])
+            _sums(big, [0])
 
     @pytest.mark.parametrize("e", (-1000, -3, 0, 52, 960))
     def test_exact_at_the_edge_of_sigma(self, e):
@@ -124,9 +131,9 @@ class TestExactSums:
                          list(np.ldexp(rng.uniform(0.5, 1.0, n), e))]
         values, starts = _flat(segments)
         want = _hex([math.fsum(s) for s in segments])
-        for size in (poisson_core._EXACT_ELEMENTS, 64):
-            with mock.patch.object(poisson_core, "_EXACT_ELEMENTS", size):
-                assert _hex(_exact_sums(values, starts)) == want
+        for size in (poisson_core._BATCH_ELEMENTS, 64):
+            with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", size):
+                assert _hex(_sums(values, starts)) == want
 
     @pytest.mark.parametrize("segment", (
         [1.0, 2.0**-53],  # a tie, to even below
@@ -139,13 +146,13 @@ class TestExactSums:
         values, starts = _flat([[3.0, 0.5], segment, [2.0**-40] * 5])
         want = _hex([3.5, math.fsum(segment), math.fsum([2.0**-40] * 5)])
         with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
-            got = _exact_sums(values, starts)
+            got = _sums(values, starts)
         assert _hex(got) == want
         assert fsum.call_count == 1
         assert _hex(fsum.call_args.args[0]) == _hex(segment)
 
     def test_empty_and_zero_segments(self):
-        assert _hex(_exact_sums(np.zeros(3), [0, 0, 2, 3])) == _hex([0.0] * 4)
+        assert _hex(_sums(np.zeros(3), [0, 2])) == _hex([0.0] * 2)
 
 
 def _reference(f, tol, order):

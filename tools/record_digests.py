@@ -70,6 +70,9 @@ RECORDS = {
                                      "--caps", "1e152,1e152"],
     "falsify target 50": ["falsify", "--target", "50"],
     "falsify target 1e9": ["falsify", "--target", "1e9"],
+    # k = 64's point ratio is 64.0078, but its certified band is [62.04,
+    # 65.98] (ratio_lo 62.04): no certified witness, exit 2.
+    "falsify target 64.005": ["falsify", "--target", "64.005"],
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
     "simulate-d bench seed 1 csv": [*SIMULATE_D, "--seed", "1", *CSV],
     "simulate-d bench seed 4242": [*SIMULATE_D, "--seed", "4242"],

@@ -8,12 +8,13 @@ of this checkout) first on the import path and times _exact_sums on each
 case with time.perf_counter, one pass over the case's calls after an
 untimed one:
 
-- "certify lemma1" and "falsify 50": the (values, starts) of every call
-  that the window passes of `certify lemma1`'s sweep on the default grid
-  and of `falsify --target 50`'s search make, captured by a spy on
-  _exact_sums as _window_pass calls it;
+- "certify lemma1" and "falsify 50": the arguments (values, starts, top)
+  of every call that the window passes of `certify lemma1`'s sweep on the
+  default grid and of `falsify --target 50`'s search make, captured by a
+  spy on _exact_sums as _window_pass calls it;
 - "1e6 x 1" ... "1e7 x 1000": 10^6 and 10^7 values drawn uniformly from
-  [0, 1) (seed 1) in 1 and in 1,000 segments of equal length.
+  [0, 1) (seed 1) in 1 and in 1,000 segments of equal length, with their
+  segment maxima.
 
 It prints, per case, the median and quartiles of ns per term over the N
 repeats, and the fallbacks: the math.fsum calls of the untimed pass (the
@@ -21,10 +22,11 @@ same in every repeat). Interpreter start, imports and the capture are not
 timed.
 
 With --against REF, a git ref of this checkout's repository, REF's src
-directory is extracted with git archive and timed too, the two sides
-alternating repeat by repeat and taking turns to go first. With --label L
-the stamp, the cases and every run are written to BENCH_<L>.json at the
-repository root, as tools/phase_times.py writes them.
+directory is extracted with git archive and timed too (its _exact_sums
+must take the same arguments), the two sides alternating repeat by repeat
+and taking turns to go first. With --label L the stamp, the cases and every
+run are written to BENCH_<L>.json at the repository root, as
+tools/phase_times.py writes them.
 """
 
 from __future__ import annotations
@@ -47,15 +49,15 @@ RANDOM_CASES = {"1e6 x 1": (10**6, 1), "1e6 x 1000": (10**6, 1000),
 
 
 def captured(run) -> list:
-    """The (values, starts) of each _exact_sums call that run() makes."""
+    """The arguments of each _exact_sums call that run() makes."""
     from poissonlab import poisson_core
 
     calls = []
     real = poisson_core._exact_sums
 
-    def spy(values, starts):
-        calls.append((values.copy(), list(starts)))
-        return real(values, starts)
+    def spy(*args):
+        calls.append(tuple(arg.copy() for arg in args))
+        return real(*args)
 
     with mock.patch.object(poisson_core, "_exact_sums", spy):
         run()
@@ -63,7 +65,8 @@ def captured(run) -> list:
 
 
 def cases():
-    """Yields (case name, list of (values, starts)), one case at a time."""
+    """Yields (case name, list of _exact_sums arguments), one case at a
+    time."""
     import numpy as np
 
     from poissonlab import inequality_lab
@@ -75,7 +78,8 @@ def cases():
         lambda: inequality_lab.find_counterexample(50.0))
     rng = np.random.default_rng(1)
     for name, (n, k) in RANDOM_CASES.items():
-        yield name, [(rng.random(n), list(range(0, n, n // k)))]
+        values, starts = rng.random(n), np.arange(0, n, n // k)
+        yield name, [(values, starts, np.maximum.reduceat(values, starts))]
 
 
 def time_cases() -> dict:
@@ -85,13 +89,13 @@ def time_cases() -> dict:
     times = {}
     for name, calls in cases():
         with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
-            for values, starts in calls:
-                _exact_sums(values, starts)
+            for args in calls:
+                _exact_sums(*args)
         clock = time.perf_counter()
-        for values, starts in calls:
-            _exact_sums(values, starts)
+        for args in calls:
+            _exact_sums(*args)
         seconds = time.perf_counter() - clock
-        terms = sum(len(values) for values, _ in calls)
+        terms = sum(len(args[0]) for args in calls)
         times[name] = {"ns_per_term": seconds / terms * 1e9, "terms": terms,
                        "calls": len(calls), "fallbacks": fsum.call_count}
     return times
