@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .poisson_core import (
@@ -58,15 +58,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jsonable(obj):
-    """Strict-JSON rendering: non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+def _render(obj, indent: str = "\n") -> str:
+    """obj as JSON, byte for byte as json.dumps(obj, sort_keys=True,
+    indent=2) writes it: keys sorted, two spaces per level, floats by
+    float.__repr__, strings by encode_basestring_ascii, tuples as lists,
+    but a non-finite float as its quoted repr ("nan", "inf", "-inf"), so
+    the record stays strict JSON. Dict keys must be strings. indent is the
+    newline and indentation of obj's own level."""
+    if isinstance(obj, float):  # first: most values are
+        text = float.__repr__(obj)
+        return text if math.isfinite(obj) else f'"{text}"'
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(float(obj))
-    return obj
+        if not obj:
+            return "[]"
+        items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def _emit(args, body: dict, columns=None, rows=None) -> None:
@@ -86,7 +111,7 @@ def _emit(args, body: dict, columns=None, rows=None) -> None:
                   if k not in ("command", "func", "out", "format", "threads")}
         payload = {"tool": "poissonlab", "version": __version__,
                    "command": args.command, "config": config, "result": body}
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = _render(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -165,6 +165,39 @@ class TestRecords:
         assert "version" in doc
 
 
+def _encoded(obj):
+    """The encoder _render replaces: non-finite floats turned into their
+    repr, then json.dumps with sorted keys and an indent of 2."""
+    def jsonable(obj):
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(v) for v in obj]
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return repr(float(obj))
+        return obj
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters.
+_STRINGS = st.one_of(
+    st.text(), st.text('"\\\x00\x1f\x7f\n\ta\u00e9\u2028\U0001f600'))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _STRINGS),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_STRINGS, inner)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON)
+def test_render_writes_the_encoders_bytes(obj):
+    assert cli._render(obj) == _encoded(obj)
+
+
 class TestFilesAndDeterminism:
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "h.json"

@@ -1,16 +1,25 @@
-"""In-process time of each phase of simulate-d, for before/after numbers.
+"""In-process time of each phase of a benchmark workload, for before/after
+numbers.
 
-    python3 tools/phase_times.py [--src DIR] [--against REF] [--repeats N]
-                                 [--seed S] [--label L]
+    python3 tools/phase_times.py [--workload W] [--src DIR] [--against REF]
+                                 [--repeats N] [--seed S] [--label L]
 
 Each repeat starts a fresh interpreter with DIR (default: the src directory
-of this checkout) first on the import path. It runs the phases of
-`simulate-d` once on the slices-small-lambda benchmark arguments (l1 4,
-l2 8, n 5000, m 1e5, 1000 replications, magnitude 0.5) and times each with
-time.perf_counter: generate_null, perturb, build_model, exact_moments,
-mc_moments at 1 and at 2 threads, and chain_check. Interpreter start and
-imports are not timed. The script prints the median and quartiles of each
-phase over the N repeats.
+of this checkout) first on the import path. It runs the phases of one
+iteration of workload W once and times each with time.perf_counter.
+Interpreter start and imports are not timed. The script prints the median
+and quartiles of each phase over the N repeats.
+
+- slices-small-lambda (the default): `simulate-d` on the benchmark
+  arguments (l1 4, l2 8, n 5000, m 1e5, 1000 replications, magnitude
+  0.5): generate_null, perturb, build_model, exact_moments, mc_moments at
+  1 and at 2 threads, and chain_check.
+- certify-large-lambda: `certify lemma1` on the default grid, then
+  `falsify --target 50`, each through cli.main with the calls it makes
+  wrapped in timers: parse (the parser built, the arguments and the grid
+  read), sweep, plateau (certify only), search (falsify only), records
+  (the record's rows and body, up to cli._emit) and render (cli._emit, to
+  the null device). The seed is not read.
 
 With --against REF, a git ref of this checkout's repository, REF's src
 directory is extracted with git archive and timed too, the two sides
@@ -39,7 +48,17 @@ ARGS = {"l1": 4, "l2": 8, "n": 5000, "m": 1e5, "reps": 1000,
         "magnitude": 0.5, "tol": 1e-10}
 
 
-def run_phases(seed: int) -> dict:
+CERTIFY = (["certify", "lemma1"], ["falsify", "--target", "50"])
+# The calls of cli.cmd_certify and cli.cmd_falsify that bound a phase:
+# (module, function, the phase its start ends, the phase its end ends).
+CERTIFY_MARKS = (("cli", "_grid_from_args", None, "parse"),
+                 ("inequality_lab", "sweep", None, "sweep"),
+                 ("inequality_lab", "plateau_check", None, "plateau"),
+                 ("inequality_lab", "find_counterexample", "parse", "search"),
+                 ("cli", "_emit", "records", "render"))
+
+
+def slices_phases(seed: int) -> dict:
     """Seconds spent in each phase of one simulate-d pipeline."""
     from poissonlab import ci_model, d_statistic
 
@@ -67,11 +86,54 @@ def run_phases(seed: int) -> dict:
     return times
 
 
-def one_repeat(src: Path, seed: int) -> dict:
-    """run_phases in a fresh interpreter importing poissonlab from src."""
+def certify_phases(seed: int) -> dict:
+    """Seconds spent in each phase of certify lemma1 and falsify --target
+    50, each run through cli.main with its record sent to the null device.
+    A command's first phase starts with cli.main; every other phase ends
+    where a call of CERTIFY_MARKS starts or ends."""
+    from poissonlab import cli, inequality_lab
+
+    modules = {"cli": cli, "inequality_lab": inequality_lab}
+    times, clock, command = {}, 0.0, ""
+
+    def close(phase):
+        nonlocal clock
+        now = time.perf_counter()
+        times[f"{command}_{phase}"] = now - clock
+        clock = now
+
+    def timed(fn, start, end):
+        def call(*args, **kwargs):
+            if start is not None:
+                close(start)
+            value = fn(*args, **kwargs)
+            close(end)
+            return value
+        return call
+
+    for module, name, start, end in CERTIFY_MARKS:
+        fn = getattr(modules[module], name)
+        setattr(modules[module], name, timed(fn, start, end))
+    for argv in CERTIFY:
+        command = argv[0]
+        clock = time.perf_counter()
+        if cli.main([*argv, "--out", os.devnull]) != cli.EX_OK:
+            raise SystemExit(f"{' '.join(argv)} did not exit {cli.EX_OK}")
+    times["total"] = sum(times.values())
+    return times
+
+
+WORKLOADS = {"slices-small-lambda": slices_phases,
+             "certify-large-lambda": certify_phases}
+
+
+def one_repeat(src: Path, workload: str, seed: int) -> dict:
+    """The workload's phases in a fresh interpreter importing poissonlab
+    from src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, __file__, "--worker", "--seed", str(seed)],
+        [sys.executable, __file__, "--worker", "--workload", workload,
+         "--seed", str(seed)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -116,6 +178,8 @@ def stamp() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+                        default="slices-small-lambda")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the poissonlab package")
     parser.add_argument("--against", metavar="REF", default=None,
@@ -128,13 +192,17 @@ def main() -> int:
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(run_phases(args.seed)))
+        print(json.dumps(WORKLOADS[args.workload](args.seed)))
         return 0
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
     runs = alternating(args.src, args.against, args.repeats,
-                       lambda src: one_repeat(src, args.seed))
-    record = {"args": {**ARGS, "seed": args.seed}, "repeats": args.repeats,
+                       lambda src: one_repeat(src, args.workload, args.seed))
+    workload_args = (ARGS if args.workload == "slices-small-lambda"
+                     else {"commands": CERTIFY})
+    record = {"workload": args.workload,
+              "args": {**workload_args, "seed": args.seed},
+              "repeats": args.repeats,
               "stamp": stamp(),
               "sides": {name: summary(r) for name, r in runs.items()}}
     for name, phases in record["sides"].items():
