@@ -188,9 +188,8 @@ def cmd_certify(args) -> int:
 
     extra = {}
     if kind == "corrected":
-        known = {r.key(): r.ratio for r in cert.records}
-        known.update((s[:3], math.nan) for s in cert.skipped)
-        plateau = inequality_lab.plateau_check(grid.cap_pairs, args.tol, known)
+        plateau = inequality_lab.plateau_check(grid.cap_pairs, args.tol,
+                                               cert.ratios)
         holds = plateau and all(math.isfinite(r.ratio) for r in cert.records)
         extra = {"plateau": plateau}
     elif kind == "claim21":
@@ -201,16 +200,14 @@ def cmd_certify(args) -> int:
     # failed numerically leaves the claim uncertified.
     certified = bool(cert.records) and cert.errored == 0 and holds
 
-    records = [dict(zip(CERTIFY_COLUMNS, (r.lam, r.cap_a, r.cap_b, r.numerator,
-                                          r.denominator, r.ratio)))
-               for r in cert.records]
+    records = [dict(zip(CERTIFY_COLUMNS, r)) for r in cert.records]
     body = {
         "which": cert.which,
         "tol": cert.tol,
         "sup_ratio": cert.sup_ratio,
         "inf_ratio": cert.inf_ratio,
-        "arg_sup": list(cert.arg_sup) if cert.arg_sup else None,
-        "arg_inf": list(cert.arg_inf) if cert.arg_inf else None,
+        "arg_sup": cert.arg_sup,
+        "arg_inf": cert.arg_inf,
         "records": records,
         "skipped": [dict(zip(("lambda", "a", "b", "reason"), s))
                     for s in cert.skipped],
@@ -429,6 +426,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out and os.path.isdir(args.out):
+            raise UsageError(f"--out {args.out!r} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UsageError(f"--out {args.out!r} lies in no directory")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class GridSpec:
                 raise ValueError(f"cap pair must satisfy 0 <= a <= b, got {(a, b)}")
 
 
-@dataclass(frozen=True)
-class RatioRecord:
+class RatioRecord(NamedTuple):
+    """One evaluated grid point, its fields in cli.CERTIFY_COLUMNS order."""
+
     lam: float
     cap_a: float
     cap_b: float
@@ -66,6 +68,8 @@ class RatioCertificate:
     records: list = field(default_factory=list)
     skipped: list = field(default_factory=list)  # vacuous and errored points
     errored: int = 0  # entries of skipped that failed numerically
+    # (lambda, a, b) -> ratio at every point, NaN where there is none.
+    ratios: dict = field(default_factory=dict, compare=False)
     sup_ratio: float = math.nan
     inf_ratio: float = math.nan
     arg_sup: tuple = None
@@ -356,6 +360,7 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     points = [(lam, a, b) for lam in grid.lambda_points
               for a, b in grid.cap_pairs]
     for (lam, a, b), r in zip(points, _ratios(which, points, grid.tol)):
+        cert.ratios[lam, a, b] = math.nan if isinstance(r, Exception) else r[0]
         if isinstance(r, SkippedPoint):
             cert.skipped.append((lam, a, b, str(r)))
         elif isinstance(r, Exception):
@@ -375,11 +380,11 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
 def plateau_check(cap_pairs, tol: float = DEFAULT_TOL, known=None) -> bool:
     """Corrected-ratio plateau: for each pair with a, b >= 1 and a finite
     correction factor the ratio moves by less than 10% (relative) between
-    lambda = 1e3 and 1e4. The ratios at tol come from known, a map of
-    (lambda, a, b) to a sweep's ratio or NaN where it had none, and else
-    from one lazy _ratios stream, read up to the first pair without a
-    plateau. A ratio that cannot be evaluated reads NaN and shows none; at
-    a tolerance that is not positive no pair shows one."""
+    lambda = 1e3 and 1e4. The ratios at tol come from known, a sweep's
+    RatioCertificate.ratios or any map like it, and else from one lazy
+    _ratios stream, read up to the first pair without a plateau. A ratio
+    that cannot be evaluated reads NaN and shows none; at a tolerance that
+    is not positive no pair shows one."""
     known = known or {}
     points = [(lam, a, b) for a, b in cap_pairs
               if min(a, b) >= 1.0 and math.isfinite(correction_factor(a, b))

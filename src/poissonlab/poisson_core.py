@@ -379,64 +379,57 @@ def _certified_windows(fs, tol, max_power, max_terms) -> Iterator:
     and no widening could move the rounded ends, and again before each
     window is allocated.
 
-    Each pass lays the pending windows end to end, widened ones first, up
-    to _BATCH_ELEMENTS elements; a wider window gets a pass of its own. A
-    result is yielded as soon as it and every result before it are known,
-    so a consumer that stops at a failure does not pay for the wide
-    windows after it.
+    One list holds an entry per functional: its _Window, its
+    TruncationError, or the [lo, hi, elements] still to sum, elements
+    counting the window and its edge terms. Each pass lays the unfinished
+    windows end to end in the order of fs, from the first unfinished one,
+    up to _BATCH_ELEMENTS elements; a wider window gets a pass of its own,
+    and a widened window keeps its place, ahead of those after it. Entry i
+    is yielded, and then dropped, as soon as it is finished: a consumer
+    that stops at a failure does not pay for the wide windows after it.
     """
-    known = {}  # index -> result, until it is yielded
 
-    def queued(i, lo, hi):
-        # [(i, lo, hi, elements)] within the budget, else [] with the error
-        # in known[i].
+    def to_sum(lo, hi):
         size = hi + 2 - (lo - (lo > 0))
         if size <= max_terms:
-            return [(i, lo, hi, size)]
-        known[i] = TruncationError(
+            return [lo, hi, size]
+        return TruncationError(
             f"summation window of {size} terms exceeds the "
             f"{max_terms}-term budget"
         )
-        return []
 
-    pending = []
-    for i, f in enumerate(fs):
+    entries = []
+    for f in fs:
         if f.lam == 0.0 or f.cap_a == 0.0:
             zero = (0.0,) * max_power
-            known[i] = _Window(0, -1, zero, zero, 0.0)
+            entries.append(_Window(0, -1, zero, zero, 0.0))
             continue
         try:
-            pending += queued(i, *_first_window(f, max_terms))
+            entries.append(to_sum(*_first_window(f, max_terms)))
         except TruncationError as exc:
-            known[i] = exc
+            entries.append(exc)
 
-    done = 0
-    while done < len(fs):
-        if done in known:
-            yield known.pop(done)
-            done += 1
-            continue
-        chunk, used = [], 0
-        for item in pending:
-            if chunk and used + item[3] > _BATCH_ELEMENTS:
-                break
-            chunk.append(item)
-            used += item[3]
-        del pending[: len(chunk)]
-        idx, lo, hi, _ = zip(*chunk)
-        passed = _window_pass([fs[i] for i in idx], lo, hi, tol, max_power)
-        widened = []
-        for i, (w, left_ok, right_ok) in zip(idx, passed):
-            if left_ok and right_ok:
-                known[i] = w
-                continue
-            lo, hi, lam = w.lo, w.hi, fs[i].lam
-            if not left_ok:
-                lo = max(0, lo - max(16, math.ceil(lam - lo)))
-            if not right_ok:
-                hi += max(16, math.ceil(hi - lam))
-            widened += queued(i, lo, hi)
-        pending[:0] = widened
+    for i in range(len(fs)):
+        while isinstance(entries[i], list):
+            chunk, used = [], 0
+            for j in range(i, len(fs)):
+                if isinstance(entries[j], list):
+                    used += entries[j][2]
+                    if chunk and used > _BATCH_ELEMENTS:
+                        break
+                    chunk.append(j)
+            lo, hi, _ = zip(*(entries[j] for j in chunk))
+            passed = _window_pass([fs[j] for j in chunk], lo, hi, tol,
+                                  max_power)
+            for j, (w, left_ok, right_ok) in zip(chunk, passed):
+                lo, hi, lam = w.lo, w.hi, fs[j].lam
+                if not left_ok:
+                    lo = max(0, lo - max(16, math.ceil(lam - lo)))
+                if not right_ok:
+                    hi += max(16, math.ceil(hi - lam))
+                entries[j] = w if left_ok and right_ok else to_sum(lo, hi)
+        yield entries[i]
+        entries[i] = None  # held by the consumer alone once yielded
 
 
 def _batched_moments(fs, tol, order) -> Iterator:

@@ -206,6 +206,22 @@ class TestFilesAndDeterminism:
         doc = json.loads(target.read_text())
         assert doc["result"]["tail_certified"] is True
 
+    @pytest.mark.parametrize("command", ["h", "simulate-d"])
+    @pytest.mark.parametrize("out", ["missing/h.json", "."],
+                             ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys,
+                                             monkeypatch, command, out):
+        def no_work(*args):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli.d_statistic, "exact_moments", no_work)
+        code = main([command, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == EX_USAGE
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -296,14 +296,6 @@ def test_plateau_one_batch_on_default_grid(engine):
     assert calls == [42]  # 21 pairs with both caps >= 1, at 1e3 and 1e4
 
 
-def _sweep_ratios(cert):
-    """The corrected ratio at each point of a sweep, NaN where it had none,
-    as certify lemma1 hands them to plateau_check."""
-    known = {r.key(): r.ratio for r in cert.records}
-    known.update((s[:3], math.nan) for s in cert.skipped)
-    return known
-
-
 def test_certify_lemma1_sums_nothing_after_its_sweep(engine, monkeypatch,
                                                      tmp_path):
     _, passes = engine
@@ -329,7 +321,7 @@ def test_certify_lemma1_sums_nothing_after_its_sweep(engine, monkeypatch,
 def test_plateau_reads_the_sweep_ratios(engine, lambdas, pairs, summed):
     calls, _ = engine
     grid = default_grid("lemma1", lambda_points=lambdas, cap_pairs=pairs)
-    known = _sweep_ratios(sweep(grid, "corrected"))
+    known = sweep(grid, "corrected").ratios
     del calls[:]
     got = plateau_check(grid.cap_pairs, grid.tol, known)
     assert calls == [summed]

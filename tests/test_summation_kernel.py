@@ -265,6 +265,107 @@ class TestMomentsMany:
             moments_many([f], 0.0, 2)
 
 
+def _queue_driver(fs, tol, max_power, max_terms):
+    """The window driver as it was before its one list of entries: a
+    result map, a pending queue that widened windows rejoin at its front
+    and a yield counter. It reads _BATCH_ELEMENTS, _first_window and
+    _window_pass from poisson_core at each call, so a patch or spy there
+    acts on it as on _certified_windows."""
+    known = {}  # index -> result, until it is yielded
+
+    def queued(i, lo, hi):
+        # [(i, lo, hi, elements)] within the budget, else [] with the error
+        # in known[i].
+        size = hi + 2 - (lo - (lo > 0))
+        if size <= max_terms:
+            return [(i, lo, hi, size)]
+        known[i] = TruncationError(
+            f"summation window of {size} terms exceeds the "
+            f"{max_terms}-term budget"
+        )
+        return []
+
+    pending = []
+    for i, f in enumerate(fs):
+        if f.lam == 0.0 or f.cap_a == 0.0:
+            zero = (0.0,) * max_power
+            known[i] = poisson_core._Window(0, -1, zero, zero, 0.0)
+            continue
+        try:
+            pending += queued(i, *poisson_core._first_window(f, max_terms))
+        except TruncationError as exc:
+            known[i] = exc
+
+    done = 0
+    while done < len(fs):
+        if done in known:
+            yield known.pop(done)
+            done += 1
+            continue
+        chunk, used = [], 0
+        for item in pending:
+            if chunk and used + item[3] > poisson_core._BATCH_ELEMENTS:
+                break
+            chunk.append(item)
+            used += item[3]
+        del pending[: len(chunk)]
+        idx, lo, hi, _ = zip(*chunk)
+        passed = poisson_core._window_pass([fs[i] for i in idx], lo, hi, tol,
+                                           max_power)
+        widened = []
+        for i, (w, left_ok, right_ok) in zip(idx, passed):
+            if left_ok and right_ok:
+                known[i] = w
+                continue
+            lo, hi, lam = w.lo, w.hi, fs[i].lam
+            if not left_ok:
+                lo = max(0, lo - max(16, math.ceil(lam - lo)))
+            if not right_ok:
+                hi += max(16, math.ceil(hi - lam))
+            widened += queued(i, lo, hi)
+        pending[:0] = widened
+
+
+def _driven(driver, fs, tol, max_power, max_terms):
+    """(the _window_pass calls, the results) of one driver run: each call
+    as its rates, caps, lo, hi, tol and power; each result as a _Window's
+    fields or an error's type and message."""
+    calls, window_pass = [], poisson_core._window_pass
+
+    def spy(fs, lo, hi, tol, power):
+        calls.append(([(f.lam, f.cap_a, f.cap_b) for f in fs], list(lo),
+                      list(hi), tol, power))
+        return window_pass(fs, lo, hi, tol, power)
+
+    with mock.patch.object(poisson_core, "_window_pass", spy):
+        results = [tuple(r) if isinstance(r, tuple) else (type(r), str(r))
+                   for r in driver(fs, tol, max_power, max_terms)]
+    return calls, results
+
+
+_DRIVER_FUNCTIONALS = st.builds(
+    lambda lam, caps: CappedFunctional(lam, *caps),
+    st.sampled_from((0.0, 0.01, 0.5, 3.0, 40.0, 200.0, 1e4, 1e13)),
+    st.sampled_from(((0.0, 1.0), (0.5, 4.0), (2.0, 8.0), (64.0, 64.0),
+                     (math.inf, math.inf))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fs=st.lists(_DRIVER_FUNCTIONALS, min_size=1, max_size=12),
+       tol=st.sampled_from((1e-10, 1e-300)),
+       max_power=st.sampled_from((1, 2, 4)),
+       max_terms=st.sampled_from((400, 10**7)))
+def test_driver_makes_the_queue_drivers_passes(fs, tol, max_power, max_terms):
+    # Batches of 512 elements take several passes, a window at lam = 1e4
+    # one of its own, and at tol 1e-300 widened windows share passes with
+    # windows not yet summed.
+    with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", 512):
+        got = _driven(_certified_windows, fs, tol, max_power, max_terms)
+        want = _driven(_queue_driver, fs, tol, max_power, max_terms)
+    assert got == want
+
+
 def _window_of(result, i):
     """Window i's sums, tails (hex) and tail tests from a _window_pass."""
     w, left_ok, right_ok = result[i]

@@ -76,6 +76,10 @@ RECORDS = {
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
     "simulate-d bench seed 1 csv": [*SIMULATE_D, "--seed", "1", *CSV],
     "simulate-d bench seed 4242": [*SIMULATE_D, "--seed", "4242"],
+    # 157 summation passes, against 15 at the default tolerance: widened
+    # windows are summed again beside windows not yet summed.
+    "simulate-d bench seed 1 tol 1e-300": [*SIMULATE_D, "--seed", "1", "--tol",
+                                           "1e-300"],
     "simulate-d reps 20000": ["simulate-d", "--seed", "1", "--reps", "20000"],
     "simulate-d reps 20000 csv": ["simulate-d", "--seed", "1", "--reps",
                                   "20000", *CSV],
