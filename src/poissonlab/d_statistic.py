@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci_model import DStatisticModel
+from . import poisson_core
 from .poisson_core import (DEFAULT_TOL, DENOMINATOR_FLOOR, _MC_CHUNK,
-                           CappedFunctional, SkippedPoint, _capped,
-                           moments_many, thread_map)
+                           CappedFunctional, SkippedPoint, _capped, thread_map)
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,16 @@ def _slice_rng(seed: int, z: int) -> np.random.Generator:
 
 
 def exact_moments(model: DStatisticModel, tol: float = DEFAULT_TOL) -> DMoments:
-    """Per-slice capped-functional moments scaled by the slice weights,
-    from one batched summation pass over all slices."""
+    """Per-slice capped-functional moments scaled by the slice weights, from
+    one batched summation: the slices' rates by the model's one cap pair."""
     weights, rates = model.weights.tolist(), model.rates.tolist()
     zs = [z for z in range(model.n) if weights[z] != 0.0 and rates[z] != 0.0]
-    fs = [CappedFunctional(rates[z], float(model.cap_a), float(model.cap_b))
-          for z in zs]
+    caps = poisson_core._points([CappedFunctional(  # one column of one pair
+        0.0, float(model.cap_a), float(model.cap_b))])[1:]
+    ms = poisson_core._batched_moments([rates[z] for z in zs], *caps, tol, 2)
     per_z = []
     tail = 0.0
-    for z, m in zip(zs, moments_many(fs, tol, 2)):
+    for z, m in zip(zs, ms):
         if isinstance(m, ArithmeticError):
             raise m
         w = weights[z]

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import poisson_core
 from .poisson_core import (
     DEFAULT_TOL,
     DENOMINATOR_FLOOR,
@@ -82,16 +83,15 @@ def correction_factor(a: float, b: float) -> float:
     return max(a * b, math.sqrt(a) * b, math.sqrt(a * b))
 
 
-def _variance_and_mean(lam, a, b, m):
+def _variance_and_mean(lam, a, b, m, factor):
     return m.variance.value, m.mean.value
 
 
-def _corrected_parts(lam, a, b, m):
-    var, mean = _variance_and_mean(lam, a, b, m)
-    den = correction_factor(a, b) * mean
+def _corrected_parts(lam, a, b, m, factor):
+    den = factor * m.mean.value
     if not math.isfinite(den):  # an overflowing or infinite cap product
         raise ValueError(f"correction factor times mean is {den} at {(lam, a, b)}")
-    return var, den
+    return m.variance.value, den
 
 
 def _envelope(lam, a, b):
@@ -105,7 +105,7 @@ def _envelope(lam, a, b):
     return den
 
 
-def _mean_lower_parts(lam, a, b, m):
+def _mean_lower_parts(lam, a, b, m, factor):
     den = _envelope(lam, a, b)
     # The numerator is reported as ratio * envelope, the form claim23
     # records carry; it can differ from the mean in the last bit, and
@@ -114,11 +114,10 @@ def _mean_lower_parts(lam, a, b, m):
 
 
 # Ratio kind -> (moment order, caps of its functional, check, parts).
-# check(lam, a, b), if any, vets a point before its functional joins the
-# batch; parts(lam, a, b, m) -> (numerator, denominator) reads m, the
-# Moments of the functional at (lam, caps). None takes the grid's caps;
-# claim21 is the plain thresholded count: unit caps turn the capped
-# functional into X 1(X >= 4), so the grid caps are ignored.
+# check(lam, a, b), if any, vets a point before its moments are read;
+# parts(lam, a, b, m, factor) -> (numerator, denominator) reads m, the
+# Moments at (lam, caps), and the pair's correction factor, taken once per
+# pair. None takes the grid's caps; claim21's unit caps make X 1(X >= 4).
 RATIO_KINDS = {
     "corrected": (2, None, None, _corrected_parts),
     "original": (2, None, None, _variance_and_mean),
@@ -127,48 +126,56 @@ RATIO_KINDS = {
 }
 
 
-def _ratios(which, points, tol):
-    """Yields, for each (lam, a, b) of points in order, the kind's (ratio,
-    numerator, denominator) there, or the SkippedPoint, ArithmeticError or
-    ValueError that evaluating it raised.
+def _valid(lam, a, b):
+    """CappedFunctional(lam, a, b), or the ValueError that rejects it."""
+    try:
+        return CappedFunctional(lam, a, b)
+    except ValueError as exc:
+        return exc
 
-    The moments come from one lazy moments_many call, so a consumer that
-    stops early sums no more. A tolerance that is not positive raises
-    ValueError at the call, as moments_many does.
-    """
+
+def _ratios(which, lams, pairs, tol):
+    """Yields (point, result) for each point (lam, a, b) of the grid lams x
+    pairs, rate by rate: the kind's (ratio, numerator, denominator) there,
+    or the SkippedPoint, ArithmeticError or ValueError that evaluating it
+    raised, the check's first. The moments come from one lazy
+    _batched_moments stream over the valid rates and pairs, so a consumer
+    that stops early sums no more. A tolerance that is not positive raises
+    ValueError at the call, as moments_many does."""
     order, caps, check, parts = RATIO_KINDS[which]
-    errors = (SkippedPoint, ArithmeticError, ValueError)
-    fs = []
-    for lam, a, b in points:
-        try:
-            if check is not None:
-                check(lam, a, b)
-            fs.append(CappedFunctional(lam, *(caps or (float(a), float(b)))))
-        except errors as exc:  # a negative rate, say
-            fs.append(exc)
-    ms = moments_many([f for f in fs if not isinstance(f, Exception)],
-                      tol, order)
+    rates = [_valid(lam, 0.0, 0.0) for lam in lams]
+    funcs = [_valid(0.0, *(caps or (float(a), float(b)))) for a, b in pairs]
+    ms = poisson_core._batched_moments(
+        [f.lam for f in rates if not isinstance(f, ValueError)],
+        *(c.T for c in poisson_core._points(  # a column of the valid pairs
+            [f for f in funcs if not isinstance(f, ValueError)])[1:]), tol, order)
+    factors = [None if caps or isinstance(f, ValueError)  # grid caps only
+               else correction_factor(a, b) for (a, b), f in zip(pairs, funcs)]
 
     def stream():
-        for point, f in zip(points, fs):
-            m = f if isinstance(f, Exception) else next(ms)
-            if isinstance(m, Exception):
-                yield m
-                continue
-            try:
-                num, den = parts(*point, m)
-                if den < DENOMINATOR_FLOOR:
-                    raise SkippedPoint(f"denominator {den} below floor at {point}")
-            except errors as exc:
-                yield exc
-            else:
-                yield num / den, num, den
+        for lam, rate in zip(lams, rates):
+            for (a, b), f, factor in zip(pairs, funcs, factors):
+                bad = rate if isinstance(rate, ValueError) else f
+                m = bad if isinstance(bad, ValueError) else next(ms)
+                try:
+                    if check is not None:
+                        check(lam, a, b)
+                    if isinstance(m, Exception):
+                        raise m
+                    num, den = parts(lam, a, b, m, factor)
+                    if den < DENOMINATOR_FLOOR:
+                        raise SkippedPoint(f"denominator {den} below floor "
+                                           f"at {(lam, a, b)}")
+                except (SkippedPoint, ArithmeticError, ValueError) as exc:
+                    yield (lam, a, b), exc
+                else:
+                    yield (lam, a, b), (num / den, num, den)
     return stream()
 
 
 def _ratio(which, lam, a, b, tol):
     """(ratio, numerator, denominator) of a ratio kind at one point."""
-    (r,) = _ratios(which, [(lam, a, b)], tol)
+    ((_, r),) = _ratios(which, [lam], [(a, b)], tol)
     if isinstance(r, Exception):
         raise r
     return r
@@ -357,9 +364,8 @@ def sweep(grid: GridSpec, which: str, threads: int = 1) -> RatioCertificate:
     if which not in RATIO_KINDS:
         raise ValueError(f"unknown sweep kind {which!r}")
     cert = RatioCertificate(which=which, tol=grid.tol)
-    points = [(lam, a, b) for lam in grid.lambda_points
-              for a, b in grid.cap_pairs]
-    for (lam, a, b), r in zip(points, _ratios(which, points, grid.tol)):
+    for (lam, a, b), r in _ratios(which, grid.lambda_points, grid.cap_pairs,
+                                  grid.tol):
         cert.ratios[lam, a, b] = math.nan if isinstance(r, Exception) else r[0]
         if isinstance(r, SkippedPoint):
             cert.skipped.append((lam, a, b, str(r)))
@@ -381,21 +387,23 @@ def plateau_check(cap_pairs, tol: float = DEFAULT_TOL, known=None) -> bool:
     """Corrected-ratio plateau: for each pair with a, b >= 1 and a finite
     correction factor the ratio moves by less than 10% (relative) between
     lambda = 1e3 and 1e4. The ratios at tol come from known, a sweep's
-    RatioCertificate.ratios or any map like it, and else from one lazy
-    _ratios stream, read up to the first pair without a plateau. A ratio
+    RatioCertificate.ratios or any map like it, and else from one _ratios
+    stream over the grid of the missing points' rates and pairs. A ratio
     that cannot be evaluated reads NaN and shows none; at a tolerance that
     is not positive no pair shows one."""
-    known = known or {}
+    known = dict(known or {})
     points = [(lam, a, b) for a, b in cap_pairs
               if min(a, b) >= 1.0 and math.isfinite(correction_factor(a, b))
               for lam in (1e3, 1e4)]
+    lams = sorted({lam for lam, a, b in points if (lam, a, b) not in known})
+    pairs = list(dict.fromkeys(p[1:] for p in points if p not in known))
     try:
-        stream = (math.nan if isinstance(r, Exception) else r[0] for r in
-                  _ratios("corrected", [p for p in points if p not in known],
-                          tol))
+        ratios = _ratios("corrected", lams, pairs, tol)
     except ValueError:  # raised at the call, for the tolerance
         return False
-    ratios = (known[p] if p in known else next(stream) for p in points)
+    for point, r in ratios:
+        known[point] = math.nan if isinstance(r, Exception) else r[0]
+    ratios = (known[p] for p in points)
     for r_lo, r_hi in zip(ratios, ratios):  # consecutive: 1e3, then 1e4
         if not abs(r_hi - r_lo) < 0.10 * r_lo:
             return False

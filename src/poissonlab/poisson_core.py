@@ -120,13 +120,13 @@ class MonteCarloMoments:
 
 def _capped(x: np.ndarray, cap_a, cap_b) -> np.ndarray:
     """x*sqrt(min(x,a)*min(x,b))*1(x >= t) in one new array, for a float64
-    array x of any shape, 0-d included, and caps that are scalars or arrays
-    of x's shape. The only code in the package that evaluates f."""
-    f = np.minimum(x, cap_a, out=np.empty_like(x))
+    array x of any shape, 0-d included, and caps that broadcast against x
+    (a column of rows, say). The only code in the package that evaluates f."""
+    f = np.asarray(np.minimum(x, cap_a))  # 0-d too: a new array
     f *= np.minimum(x, cap_b)
     np.sqrt(f, out=f)
     f *= x
-    f[x < CappedFunctional.threshold] = 0.0
+    f[np.broadcast_to(x, f.shape) < CappedFunctional.threshold] = 0.0
     return f
 
 
@@ -195,15 +195,6 @@ def _pmf(x: np.ndarray, log_lam, lam) -> np.ndarray:
     return np.exp(logp, out=logp)
 
 
-def _window_terms(x: np.ndarray, fs, reps) -> tuple[np.ndarray, np.ndarray]:
-    """p and f at the integer-valued floats x, the one builder of window
-    terms: functional i's rate and caps fill reps[i] elements in turn."""
-    p = _pmf(x, np.repeat([math.log(f.lam) for f in fs], reps),
-             np.repeat([f.lam for f in fs], reps))
-    return p, _capped(x, np.repeat([f.cap_a for f in fs], reps),
-                      np.repeat([f.cap_b for f in fs], reps))
-
-
 # Elements per pass of windows laid end to end and per block of _exact_sums
 # (256 KiB of float64 per temporary); a wider window takes a pass of its own.
 _BATCH_ELEMENTS = 2**15
@@ -217,9 +208,10 @@ _BATCH_ELEMENTS = 2**15
 # multiples of ulp(sigma) below 2 sigma, where doubles lie ulp(sigma) apart:
 # their sum tau is exact in any order and blocking.
 def _exact_sums(values, starts, top) -> list:
-    """The bits math.fsum returns for each non-empty segment of the float64
-    array values: they begin at starts (integers, increasing from 0), each
-    runs to the next start and the last to the end; top holds their maxima.
+    """The bits math.fsum returns for each non-empty segment of each row of
+    the float64 array values (1-D or 2-D), in top's shape: they begin at
+    starts (integers, increasing from 0) in every row, each runs to the next
+    start and the last to the end; top holds their maxima.
 
     With tau exact (see above), the n - 1 additions of the r's err by at
     most gamma_{n-1} sum |r| in any order (gamma_k = k eps / (1 - k eps),
@@ -233,31 +225,33 @@ def _exact_sums(values, starts, top) -> list:
     minima times x, and f^4 <= x^8 is finite within the term budget). A sum
     beyond the float range raises OverflowError, as math.fsum does.
     """
-    n = len(values)
+    n = values.shape[-1]
     ends = np.append(starts[1:], n)
     if np.signbit(values).any() or not (top < math.inf).all():
         raise ArithmeticError("exact sums take finite values >= 0")
-    sums = np.zeros((3, len(starts)))  # sum q, sum r and sum |r|
-    parts = np.empty((3, min(n, _BATCH_ELEMENTS)))  # q, r and |r|
+    step = max(1, _BATCH_ELEMENTS // math.prod(values.shape[:-1]))
+    sums = np.zeros((3, *top.shape))  # sum q, sum r and sum |r|
+    parts = np.empty((3, *values.shape[:-1], min(n, step)))  # q, r and |r|
     with np.errstate(over="ignore", invalid="ignore"):  # sigma = inf: fsum
         sigma = np.ldexp(1.0, np.frexp(top)[1]
                          + np.frexp(ends - starts + 2.0)[1] - 1)
-        for a in range(0, n, _BATCH_ELEMENTS):
-            b = min(n, a + _BATCH_ELEMENTS)
+        for a in range(0, n, step):
+            b = min(n, a + step)
             i = int(np.searchsorted(starts, a, "right")) - 1
             j = int(np.searchsorted(starts, b))
             local = np.maximum(starts[i:j] - a, 0)
-            s = np.repeat(sigma[i:j], np.minimum(ends[i:j], b) - a - local)
-            q, r, r_abs = block = parts[:, : b - a]
-            np.subtract(np.add(s, values[a:b], out=q), s, out=q)
-            np.abs(np.subtract(values[a:b], q, out=r), out=r_abs)
-            sums[:, i:j] += np.add.reduceat(block, local, axis=1)
+            s = np.repeat(sigma[..., i:j], np.minimum(ends[i:j], b) - a - local,
+                          axis=-1)
+            q, r, r_abs = block = parts[..., : b - a]
+            np.subtract(np.add(s, values[..., a:b], out=q), s, out=q)
+            np.abs(np.subtract(values[..., a:b], q, out=r), out=r_abs)
+            sums[..., i:j] += np.add.reduceat(block, local, axis=-1)
         tau, r_sum, r_abs = sums
         # 2 eps n sum |r|, and the least double for an underflowed product.
         w = r_abs * ((ends - starts) * 2.0**-52) + 2.0**-1074
         lo, hi = tau + (r_sum - w), tau + (r_sum + w)
-    for k in np.flatnonzero(lo != hi).tolist():
-        lo[k] = math.fsum(values[starts[k] : ends[k]])
+    for *row, k in zip(*np.nonzero(lo != hi)):
+        lo[(*row, k)] = math.fsum(values[(*row, slice(starts[k], ends[k]))])
     return lo.tolist()
 
 
@@ -287,78 +281,90 @@ class _Window(NamedTuple):
         return self.hi - self.lo + 1
 
 
-def _first_window(f, max_terms):
-    """[lo, hi] of f's first summation window (see _certified_windows)."""
-    lam = f.lam
+def _to_sum(lo, hi, max_terms):
+    """[lo, hi, elements with the edge terms], or the budget's error."""
+    size = hi + 2 - (lo - (lo > 0))
+    if size <= max_terms:
+        return [lo, hi, size]
+    return TruncationError(f"summation window of {size} terms exceeds the "
+                           f"{max_terms}-term budget")
+
+
+def _first_window(lam, max_terms):
+    """_to_sum of the first window at rate lam > 0 (_certified_windows)."""
     h = 14.0 * math.sqrt(lam + 1.0) + 16.0
     width = min(2.0 * h, lam + h)
     if width > max_terms:
-        raise TruncationError(
-            f"summation window of {width:.6g} terms exceeds the "
-            f"{max_terms}-term budget"
-        )
-    return max(0, math.floor(lam - h)), max(math.ceil(lam + h), 48)
+        return TruncationError(f"summation window of {width:.6g} terms "
+                               f"exceeds the {max_terms}-term budget")
+    return _to_sum(max(0, math.floor(lam - h)), max(math.ceil(lam + h), 48),
+                   max_terms)
 
 
-def _window_pass(fs, lo, hi, tol, max_power):
-    """The windows [lo[i], hi[i]] (ints) of the functionals fs (rates > 0),
-    summed and tested as _certified_windows defines them.
+def _window_pass(lam, lo, hi, cap_a, cap_b, tol, max_power):
+    """The windows [lo[i], hi[i]] (ints) at the rates lam[i] > 0, summed and
+    tested as _certified_windows defines them for each row of caps (a
+    column of pairs that every window holds, or a row of each one's own).
 
-    Returns [(window, left_ok, right_ok)], in the order of fs: each _Window
-    and whether each of its sides' tails is below the cut for every power.
-    ptail, the tail of p alone (power 0), comes from the same two edge-term
-    bounds (r bounds p's term ratio too) and widens no window. The windows
-    lie end to end; window i's edge terms, lo - 1 (unread at lo = 0) and
-    hi + 1, are 2i and 2i + 1 of an array apart. Per-rate scalars come
-    from math (log lambda, r), and every element takes the same operations
-    in the same order for one window or many, so a window's results do not
-    depend on its pass.
-    """
-    n = len(fs)
-    lam = np.array([f.lam for f in fs])
-    r = np.array([
-        (f.lam / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
-        for f, h in zip(fs, hi)
-    ])
-    sizes = np.array(hi) + 1 - lo
+    Returns [(window, left_ok, right_ok)], row by row: each _Window and
+    whether each side's tail is below the cut for every power. x, the pmf
+    and its edge terms (lo - 1, unread at lo = 0, and hi + 1, 2i and 2i + 1
+    of an array apart), log lambda and r come once per window; f and the
+    terms as rows x elements, the maxima and exact sums along each row.
+    Every element takes the same operations in any layout, so a window's
+    results do not depend on its pass."""
+    def spread(v, sizes):  # per window to per element; one value broadcasts
+        return v if v.shape[-1] == 1 else np.repeat(v, sizes, axis=-1)
+    n = len(lam)
+    r = np.array([(v / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
+                  for v, h in zip(lam, hi)])
+    log_lam = np.array([math.log(v) for v in lam])
+    lam, lo, hi = np.array(lam, dtype=np.float64), np.array(lo), np.array(hi)
+    sizes = hi + 1 - lo
     starts = np.cumsum(sizes) - sizes
     x = np.arange(starts[-1] + sizes[-1], dtype=np.float64)
-    x -= np.repeat(starts - lo, sizes)
-    p, fv = _window_terms(x, fs, sizes)
-    left = np.array(lo) > 0
-    x = np.column_stack((np.array(lo) - left, np.array(hi) + 1.0)).ravel()
-    edge_p, edge_f = _window_terms(x, fs, 2)
+    x -= spread(starts - lo, sizes)
+    la, lm, ca, cb = (spread(v, sizes) for v in (log_lam, lam, cap_a, cap_b))
+    p, fv = _pmf(x, la, lm), _capped(x, ca, cb)
+    left = lo > 0
+    x = np.column_stack((lo - left, hi + 1.0)).ravel()
+    la, lm, ca, cb = (spread(v, 2) for v in (log_lam, lam, cap_a, cap_b))
+    edge_p, edge_f = _pmf(x, la, lm), _capped(x, ca, cb)
     left_den = 1.0 - np.divide(x[::2], lam, out=np.zeros(n), where=left)
 
     def tails(edges):
         # Each window's left and right tail bounds from its edge terms.
-        right = np.divide(edges[1::2], 1.0 - r, out=np.full(n, math.inf),
-                          where=r < 1.0)
-        return np.divide(edges[::2], left_den, out=np.zeros(n), where=left), right
+        right = np.divide(edges[..., 1::2], 1.0 - r, where=r < 1.0,
+                          out=np.full((*edges.shape[:-1], n), math.inf))
+        return np.divide(edges[..., ::2], left_den, out=np.zeros_like(right),
+                         where=left), right
 
     ptail = np.add(*tails(edge_p)).tolist()
-    left_ok, right_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    left_ok, right_ok = np.ones((2, len(fv), n), dtype=bool)
     sums, trunc = [], []
-    fpow, edge_fpow = np.ones_like(fv), np.ones_like(edge_f)
-    for _ in range(max_power):
-        fpow = fpow * fv
-        edge_fpow = edge_fpow * edge_f
+    fpow, edge_fpow = fv, edge_f
+    for k in range(max_power):
+        if k:
+            fpow, edge_fpow = fpow * fv, edge_fpow * edge_f
         terms = fpow * p
-        top = np.maximum.reduceat(terms, starts)
+        top = np.maximum.reduceat(terms, starts, axis=1)
         cut = np.minimum(_REL_CUT * top, tol / 16.0)
         left_tail, right = tails(edge_fpow * edge_p)
         left_ok &= left_tail <= cut
         right_ok &= right <= cut
         trunc.append((left_tail + right).tolist())
         sums.append(_exact_sums(terms, starts, top))
-    windows = map(_Window, lo, hi, zip(*sums), zip(*trunc), ptail)
-    return list(zip(windows, left_ok.tolist(), right_ok.tolist()))
+    lo, hi = lo.tolist(), hi.tolist()
+    windows = [w for s, t in zip(zip(*sums), zip(*trunc))
+               for w in map(_Window, lo, hi, zip(*s), zip(*t), ptail)]
+    return list(zip(windows, left_ok.ravel().tolist(), right_ok.ravel().tolist()))
 
 
-def _certified_windows(fs, tol, max_power, max_terms) -> Iterator:
-    """Yields, in the order of fs, each functional's certified _Window or
-    the TruncationError that ended its widening: one layout for the moment
-    engine and the pairwise oracle alike.
+def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
+    """Yields the certified _Window, or the TruncationError that ended its
+    widening, of each functional (i, j) of a grid, by i and then j: rate
+    lams[i], caps caps_a[j, i] <= caps_b[j, i] from float64 arrays, a column
+    (rows, 1) of every rate's pairs or a row (1, len(lams)) of each rate's.
 
     A rate or cap of 0 gives the window (0, -1). The first window has
     half-width h = 14*sqrt(lambda+1) + 16: lo = max(0, floor(lambda - h))
@@ -380,74 +386,102 @@ def _certified_windows(fs, tol, max_power, max_terms) -> Iterator:
     window is allocated.
 
     One list holds an entry per functional: its _Window, its
-    TruncationError, or the [lo, hi, elements] still to sum, elements
-    counting the window and its edge terms. Each pass lays the unfinished
-    windows end to end in the order of fs, from the first unfinished one,
-    up to _BATCH_ELEMENTS elements; a wider window gets a pass of its own,
-    and a widened window keeps its place, ahead of those after it. Entry i
-    is yielded, and then dropped, as soon as it is finished: a consumer
-    that stops at a failure does not pay for the wide windows after it.
-    """
+    TruncationError, or its _to_sum entry, which a rate's rows share until
+    their first window is summed. A pass starts at the first unfinished
+    entry and holds at most _BATCH_ELEMENTS elements, or one wider window.
+    At a first window it takes as many of the rate's rows from there as fit
+    (one at least), and if all fit, the whole rates after it that fit too.
+    At a widened window it takes the widened windows up to the next first
+    window, as one-row cells. Entry i is yielded, and dropped, once it is
+    finished; a consumer that stops there skips the wide windows after."""
+    rows, n = len(caps_a), len(lams)
+    cells_a, cells_b = (np.broadcast_to(c, (rows, n)).T.ravel()
+                        for c in (caps_a, caps_b))
+    zero = _Window(0, -1, (0.0,) * max_power, (0.0,) * max_power, 0.0)
+    firsts = [_first_window(lam, max_terms) if lam else zero for lam in lams]
+    entries = [firsts[k // rows] if a else zero
+               for k, a in enumerate(cells_a.tolist())]
 
-    def to_sum(lo, hi):
-        size = hi + 2 - (lo - (lo > 0))
-        if size <= max_terms:
-            return [lo, hi, size]
-        return TruncationError(
-            f"summation window of {size} terms exceeds the "
-            f"{max_terms}-term budget"
-        )
-
-    entries = []
-    for f in fs:
-        if f.lam == 0.0 or f.cap_a == 0.0:
-            zero = (0.0,) * max_power
-            entries.append(_Window(0, -1, zero, zero, 0.0))
-            continue
-        try:
-            entries.append(to_sum(*_first_window(f, max_terms)))
-        except TruncationError as exc:
-            entries.append(exc)
-
-    for i in range(len(fs)):
-        while isinstance(entries[i], list):
-            chunk, used = [], 0
-            for j in range(i, len(fs)):
-                if isinstance(entries[j], list):
-                    used += entries[j][2]
-                    if chunk and used > _BATCH_ELEMENTS:
-                        break
-                    chunk.append(j)
-            lo, hi, _ = zip(*(entries[j] for j in chunk))
-            passed = _window_pass([fs[j] for j in chunk], lo, hi, tol,
-                                  max_power)
-            for j, (w, left_ok, right_ok) in zip(chunk, passed):
-                lo, hi, lam = w.lo, w.hi, fs[j].lam
+    for k in range(len(entries)):
+        while isinstance(entries[k], list):
+            i, j = divmod(k, rows)
+            if entries[k] is firsts[i]:
+                end = min(rows, j + max(1, _BATCH_ELEMENTS // firsts[i][2]))
+                rates, used = [i], (end - j) * firsts[i][2]
+                if j == 0 and end == rows:  # whole rates: those after fit too
+                    for i2 in range(i + 1, n):
+                        if isinstance(firsts[i2], list):
+                            used += rows * firsts[i2][2]
+                            if used > _BATCH_ELEMENTS:
+                                break
+                            rates.append(i2)
+                windows = [firsts[i2] for i2 in rates]
+                cells = [i2 * rows + j2 for j2 in range(j, end) for i2 in rates]
+                caps = (c[j:end] if c.shape[1] == 1 else c[:, rates]
+                        for c in (caps_a, caps_b))
+            else:
+                chunk, used = [], 0
+                for k2 in range(k, len(entries)):
+                    if isinstance(entries[k2], list):
+                        used += entries[k2][2]
+                        if (entries[k2] is firsts[k2 // rows]
+                                or chunk and used > _BATCH_ELEMENTS):
+                            break
+                        chunk.append(k2)
+                rates, cells = [k2 // rows for k2 in chunk], chunk
+                windows = [entries[k2] for k2 in chunk]
+                caps = (c[chunk][None] for c in (cells_a, cells_b))
+            lo, hi, _ = zip(*windows)
+            passed = _window_pass([lams[i2] for i2 in rates], lo, hi, *caps,
+                                  tol, max_power)
+            for c, (w, left_ok, right_ok) in zip(cells, passed):
+                if not isinstance(entries[c], list):
+                    continue  # a cap of 0, summed beside its rate's rows
+                lo, hi, lam = w.lo, w.hi, lams[c // rows]
                 if not left_ok:
                     lo = max(0, lo - max(16, math.ceil(lam - lo)))
                 if not right_ok:
                     hi += max(16, math.ceil(hi - lam))
-                entries[j] = w if left_ok and right_ok else to_sum(lo, hi)
-        yield entries[i]
-        entries[i] = None  # held by the consumer alone once yielded
+                entries[c] = w if left_ok and right_ok else _to_sum(lo, hi, max_terms)
+        yield entries[k]
+        entries[k] = None  # held by the consumer alone once yielded
 
 
-def _batched_moments(fs, tol, order) -> Iterator:
-    """Yields, in the order of fs, the Moments of each functional or the
-    ArithmeticError computing them raised, from _certified_windows."""
-    for f, w in zip(fs, _certified_windows(fs, tol, order, MAX_TERMS)):
-        if isinstance(w, _Window):
-            try:
-                w = _moments(f, w, order)
-            except ArithmeticError as exc:
-                w = exc
-        yield w
+def _points(fs):
+    """The functionals fs as a grid of rates, each with its own cap pair."""
+    return ([f.lam for f in fs], np.array([[f.cap_a for f in fs]], float),
+            np.array([[f.cap_b for f in fs]], float))
 
 
-def _moments(f, w, order) -> Moments:
-    """Moments of f from its _Window w, each certified as it is built: a
-    bound above its value raises TruncationError."""
-    fp = _fp_rel(f.lam)
+def _batched_moments(lams, caps_a, caps_b, tol, order) -> Iterator:
+    """Yields the Moments, or the ArithmeticError that computing them raised,
+    of each functional of a _certified_windows grid, in its order. An order
+    outside (1, 2, 4) or a tolerance not > 0 raises ValueError at the call."""
+    if order not in (1, 2, 4):
+        raise ValueError(f"order must be 1, 2 or 4, got {order}")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    rows, fps = len(caps_a), [_fp_rel(lam) for lam in lams]
+    a, b = (np.broadcast_to(c, (rows, len(lams))).T.ravel().tolist()
+            for c in (caps_a, caps_b))
+
+    def stream(windows):
+        for k, w in enumerate(windows):
+            if isinstance(w, _Window):
+                try:
+                    w = _moments((lams[k // rows], a[k], b[k]), w, order,
+                                 fps[k // rows])
+                except ArithmeticError as exc:
+                    w = exc
+            yield w
+    return stream(_certified_windows(lams, caps_a, caps_b, tol, order,
+                                     MAX_TERMS))
+
+
+def _moments(point, w, order, fp) -> Moments:
+    """Moments of the functional at point (lambda, a, b) from its _Window w
+    and fp = _fp_rel(lambda), each certified as it is built: a bound above
+    its value raises TruncationError."""
 
     def certified(name, value, bound):
         # A bound above the value certifies nothing: at very large rates the
@@ -455,7 +489,7 @@ def _moments(f, w, order) -> Moments:
         if bound > value:
             raise TruncationError(
                 f"certified bound {bound!r} exceeds the {name} "
-                f"{value!r} at {(f.lam, f.cap_a, f.cap_b)}"
+                f"{value!r} at {point}"
             )
         return MomentEstimate(value, bound, w.terms)
 
@@ -493,11 +527,7 @@ def moments_many(fs, tol: float = DEFAULT_TOL, order: int = 2) -> Iterator:
     came in. An order outside (1, 2, 4) or a tolerance that is not
     positive, NaN included, raises ValueError for the whole batch.
     """
-    if order not in (1, 2, 4):
-        raise ValueError(f"order must be 1, 2 or 4, got {order}")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    return _batched_moments(list(fs), tol, order)
+    return _batched_moments(*_points(list(fs)), tol, order)
 
 
 def moments(
@@ -548,7 +578,7 @@ def variance_pairwise(
 
     The double sum runs over the engine's order-2 window, from
     _certified_windows with powers 1 and 2 and the _PAIRWISE_TERMS budget,
-    and its terms come from the engine's builder, _window_terms. So it is
+    and its terms from the engine's _pmf and _capped. So it is
     cut where the engine's is, at min(tol/16, 2^-100 * the largest term) on
     f and f^2, and it reaches below t wherever the mass does: draws with
     f = 0 still pair against nonzero values and contribute to
@@ -562,14 +592,15 @@ def variance_pairwise(
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    (w,) = _certified_windows([f], tol, 2, _PAIRWISE_TERMS)
+    (w,) = _certified_windows(*_points([f]), tol, 2, _PAIRWISE_TERMS)
     if isinstance(w, TruncationError):
         raise w
     n = w.terms
     if not n:
         return MomentEstimate(0.0, 0.0, 0)
 
-    p, fv = _window_terms(np.arange(w.lo, w.hi + 1, dtype=np.float64), [f], n)
+    x = np.arange(w.lo, w.hi + 1, dtype=np.float64)
+    p, fv = _pmf(x, math.log(f.lam), f.lam), _capped(x, f.cap_a, f.cap_b)
     rows = max(1, _PAIRWISE_ELEMENTS // n)
     parts = []
     for i0 in range(0, n, rows):

@@ -10,6 +10,7 @@ from poissonlab.poisson_core import (
     MAX_TERMS,
     CappedFunctional,
     _certified_windows,
+    _points,
     moments,
     variance_pairwise,
 )
@@ -77,7 +78,7 @@ def _within(est, truth):
 @pytest.mark.parametrize("lam, caps, tol, order", POINTS)
 def test_truth_within_bounds(lam, caps, tol, order):
     f = CappedFunctional(lam, *caps)
-    (w,) = _certified_windows([f], tol, order, MAX_TERMS)
+    (w,) = _certified_windows(*_points([f]), tol, order, MAX_TERMS)
     mean, var, mu4, tails = _truth(f, w.lo, w.hi)
     assert _covers(w.ptail, tails[0])
     for k in range(order):

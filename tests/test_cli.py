@@ -495,9 +495,9 @@ class TestOneSummationPass:
         calls = []
         batched = poisson_core._batched_moments
 
-        def batch(fs, *args):
-            calls.append(len(fs))
-            return batched(fs, *args)
+        def batch(lams, caps_a, *args):
+            calls.append(len(lams) * len(caps_a))
+            return batched(lams, caps_a, *args)
 
         monkeypatch.setattr(poisson_core, "_batched_moments", batch)
         run_json(capsys, "oracle-check", "--draws", "2")

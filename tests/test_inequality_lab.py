@@ -10,6 +10,7 @@ from poissonlab.inequality_lab import (
     SkippedPoint,
     _golden_section,
     _ratio,
+    _ratios,
     correction_factor,
     corrected_ratio,
     default_grid,
@@ -266,17 +267,18 @@ def test_sweep_one_summation_pass_per_point(summation_calls):
 @pytest.fixture
 def engine(monkeypatch):
     """Spies on the summation engine: the number of functionals of each
-    _batched_moments call, and the largest rate of each _window_pass."""
+    _batched_moments call (rates times rows of caps), and the largest rate
+    of each _window_pass."""
     calls, passes = [], []
     batched, window_pass = poisson_core._batched_moments, poisson_core._window_pass
 
-    def batch(fs, *args):
-        calls.append(len(fs))
-        return batched(fs, *args)
+    def batch(lams, caps_a, *args):
+        calls.append(len(lams) * len(caps_a))
+        return batched(lams, caps_a, *args)
 
-    def one_pass(fs, *args):
-        passes.append(max(f.lam for f in fs))
-        return window_pass(fs, *args)
+    def one_pass(lam, *args):
+        passes.append(max(lam))
+        return window_pass(lam, *args)
 
     monkeypatch.setattr(poisson_core, "_batched_moments", batch)
     monkeypatch.setattr(poisson_core, "_window_pass", one_pass)
@@ -335,6 +337,19 @@ def test_witness_walk_sums_nothing_past_the_witness(engine):
     assert len(calls) == 1
     assert len(passes) <= 2
     assert max(passes) <= 409600.0
+
+
+def test_grid_stream_sums_one_rate_for_its_first_point(engine):
+    # lambda = 1e3's 28 rows of 921 elements fill one pass, and one row of
+    # lambda = 1e4 (2,837 elements) would not fit beside them: a consumer
+    # that stops after the first point sums that rate's block alone.
+    calls, passes = engine
+    pairs = default_grid("lemma1").cap_pairs
+    point, first = next(_ratios("corrected", (1e3, 1e4), pairs, DEFAULT_TOL))
+    assert point == (1e3, *pairs[0])
+    assert first == _ratio("corrected", *point, DEFAULT_TOL)
+    assert calls[0] == 2 * len(pairs) and passes[0] == 1e3
+    assert len(passes) == 2  # the stream's pass, then _ratio's own
 
 
 def test_claim21_grid_ignores_caps():

@@ -26,7 +26,7 @@ from poissonlab.poisson_core import (
     _fp_rel,
     _log_factorial_series,
     _pmf,
-    _window_terms,
+    _points,
     expectation,
     fourth_central_moment,
     functional_value,
@@ -59,9 +59,9 @@ def pmf(lam: float, x: int) -> float:
 
 
 def window_pmf(lam: float, lo: int, hi: int):
-    """(x, p) at the counts lo..hi, p from the window-term builder."""
+    """(x, p) at the counts lo..hi, p from the engine's _pmf."""
     x = np.arange(lo, hi + 1, dtype=np.float64)
-    return x, _window_terms(x, [CappedFunctional(lam, 1.0, 1.0)], len(x))[0]
+    return x, _pmf(x, math.log(lam), lam)
 
 
 # Frozen reference values, computed independently with 40-digit arithmetic
@@ -318,7 +318,7 @@ class TestTwoSidedWindow:
         # than the mass. Both sums are correctly rounded, so they differ by
         # at most the dropped tails and two ulps.
         f = CappedFunctional(lam, a, b)
-        (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
+        (w,) = _certified_windows(*_points([f]), DEFAULT_TOL, order, MAX_TERMS)
         hi = max(3.0 * lam, f.cap_b + 16, lam + 12.0 * math.sqrt(lam + 1.0))
         if lam > 0.0:
             x, p = window_pmf(lam, f.threshold, math.ceil(hi) + 48)
@@ -336,7 +336,7 @@ class TestTwoSidedWindow:
     def test_terms_grow_like_sqrt_lambda(self, lam, caps):
         for order in (1, 2, 4):
             f = CappedFunctional(lam, *caps)
-            (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
+            (w,) = _certified_windows(*_points([f]), DEFAULT_TOL, order, MAX_TERMS)
             assert w.terms <= 30.0 * math.sqrt(lam + 1.0) + 64.0, order
 
     def test_terms_used_counts_the_window(self):
@@ -365,11 +365,12 @@ class TestTwoSidedWindow:
         # tight here, within 1% of these sums; without the left tail they
         # fall to 0.72, 0.00 and 0.53 of them at 1e6, 1e4 and 1e8.
         f = CappedFunctional(lam, *caps)
-        (w,) = _certified_windows([f], DEFAULT_TOL, order, MAX_TERMS)
+        (w,) = _certified_windows(*_points([f]), DEFAULT_TOL, order, MAX_TERMS)
         reach = math.ceil(60.0 * math.sqrt(lam)) + 200
         x = np.concatenate((np.arange(max(0, w.lo - reach), w.lo),
                             np.arange(w.hi + 1, w.hi + reach + 1)))
-        p, fv = _window_terms(x.astype(np.float64), [f], len(x))
+        x = x.astype(np.float64)
+        p, fv = _pmf(x, math.log(f.lam), f.lam), _capped(x, f.cap_a, f.cap_b)
 
         def outside(terms):
             # A lower bound on the sum, within 1e-18 of it relative: terms
@@ -811,7 +812,7 @@ _PAIRWISE_PINS = {
 def test_pairwise_bits_pinned(tol, point):
     lo, hi, value, bound = _PAIRWISE_PINS[tol, point]
     f = CappedFunctional(*point)
-    (w,) = _certified_windows([f], tol, 2, _PAIRWISE_TERMS)
+    (w,) = _certified_windows(*_points([f]), tol, 2, _PAIRWISE_TERMS)
     assert (w.lo, w.hi) == (lo, hi)
     pw = variance_pairwise(f, tol)
     assert (pw.value.hex(), pw.tail_bound.hex()) == (value, bound)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -14,11 +15,13 @@ from poissonlab.poisson_core import (
     MAX_TERMS,
     CappedFunctional,
     TruncationError,
-    _certified_windows,
+    _REL_CUT,
+    _Window,
+    _capped,
     _exact_sums,
-    _first_window,
+    _fp_rel,
     _pmf,
-    _window_pass,
+    _points,
     functional_value,
     moments,
     moments_many,
@@ -157,8 +160,8 @@ class TestExactSums:
 
 def _reference(f, tol, order):
     """(moments(f) or its error, the tails of f's window): the window of a
-    one-functional _certified_windows call, its terms built with scalar
-    rate and caps and re-summed with math.fsum."""
+    one-functional call of the reference driver below, its terms built with
+    scalar rate and caps and re-summed with math.fsum."""
     (w,) = _certified_windows([f], tol, order, MAX_TERMS)
     if isinstance(w, TruncationError):
         return w, ()
@@ -172,7 +175,8 @@ def _reference(f, tol, order):
             sums[k] = math.fsum(fpow * p)
     w = w._replace(sums=tuple(sums))
     try:
-        return poisson_core._moments(f, w, order), w.trunc
+        point = (f.lam, f.cap_a, f.cap_b)
+        return poisson_core._moments(point, w, order, _fp_rel(f.lam)), w.trunc
     except TruncationError as exc:
         return exc, w.trunc
 
@@ -265,105 +269,201 @@ class TestMomentsMany:
             moments_many([f], 0.0, 2)
 
 
-def _queue_driver(fs, tol, max_power, max_terms):
-    """The window driver as it was before its one list of entries: a
-    result map, a pending queue that widened windows rejoin at its front
-    and a yield counter. It reads _BATCH_ELEMENTS, _first_window and
-    _window_pass from poisson_core at each call, so a patch or spy there
-    acts on it as on _certified_windows."""
-    known = {}  # index -> result, until it is yielded
+# The window driver, pass and term builder as they were before one pass
+# summed a rate's cap rows as rows of one window: one window per
+# functional, its rate and caps repeated over its elements. They are kept
+# verbatim as the reference; in this module the bare names _first_window,
+# _window_terms, _window_pass and _certified_windows are theirs, and the
+# engine's are read from poisson_core.
+_BATCH_ELEMENTS = 2**15
 
-    def queued(i, lo, hi):
-        # [(i, lo, hi, elements)] within the budget, else [] with the error
-        # in known[i].
+
+def _first_window(f, max_terms):
+    # The engine's first window, in the form the reference takes it.
+    first = poisson_core._first_window(f.lam, max_terms)
+    if isinstance(first, TruncationError):
+        raise first
+    return first[:2]
+
+
+def _window_terms(x: np.ndarray, fs, reps) -> tuple[np.ndarray, np.ndarray]:
+    """p and f at the integer-valued floats x, the one builder of window
+    terms: functional i's rate and caps fill reps[i] elements in turn."""
+    p = _pmf(x, np.repeat([math.log(f.lam) for f in fs], reps),
+             np.repeat([f.lam for f in fs], reps))
+    return p, _capped(x, np.repeat([f.cap_a for f in fs], reps),
+                      np.repeat([f.cap_b for f in fs], reps))
+
+
+def _window_pass(fs, lo, hi, tol, max_power):
+    """The windows [lo[i], hi[i]] (ints) of the functionals fs (rates > 0),
+    summed and tested as _certified_windows defines them.
+
+    Returns [(window, left_ok, right_ok)], in the order of fs: each _Window
+    and whether each of its sides' tails is below the cut for every power.
+    ptail, the tail of p alone (power 0), comes from the same two edge-term
+    bounds (r bounds p's term ratio too) and widens no window. The windows
+    lie end to end; window i's edge terms, lo - 1 (unread at lo = 0) and
+    hi + 1, are 2i and 2i + 1 of an array apart. Per-rate scalars come
+    from math (log lambda, r), and every element takes the same operations
+    in the same order for one window or many, so a window's results do not
+    depend on its pass.
+    """
+    n = len(fs)
+    lam = np.array([f.lam for f in fs])
+    r = np.array([
+        (f.lam / (h + 2.0)) * ((h + 2.0) / (h + 1.0)) ** (2 * max_power)
+        for f, h in zip(fs, hi)
+    ])
+    sizes = np.array(hi) + 1 - lo
+    starts = np.cumsum(sizes) - sizes
+    x = np.arange(starts[-1] + sizes[-1], dtype=np.float64)
+    x -= np.repeat(starts - lo, sizes)
+    p, fv = _window_terms(x, fs, sizes)
+    left = np.array(lo) > 0
+    x = np.column_stack((np.array(lo) - left, np.array(hi) + 1.0)).ravel()
+    edge_p, edge_f = _window_terms(x, fs, 2)
+    left_den = 1.0 - np.divide(x[::2], lam, out=np.zeros(n), where=left)
+
+    def tails(edges):
+        # Each window's left and right tail bounds from its edge terms.
+        right = np.divide(edges[1::2], 1.0 - r, out=np.full(n, math.inf),
+                          where=r < 1.0)
+        return np.divide(edges[::2], left_den, out=np.zeros(n), where=left), right
+
+    ptail = np.add(*tails(edge_p)).tolist()
+    left_ok, right_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    sums, trunc = [], []
+    fpow, edge_fpow = np.ones_like(fv), np.ones_like(edge_f)
+    for _ in range(max_power):
+        fpow = fpow * fv
+        edge_fpow = edge_fpow * edge_f
+        terms = fpow * p
+        top = np.maximum.reduceat(terms, starts)
+        cut = np.minimum(_REL_CUT * top, tol / 16.0)
+        left_tail, right = tails(edge_fpow * edge_p)
+        left_ok &= left_tail <= cut
+        right_ok &= right <= cut
+        trunc.append((left_tail + right).tolist())
+        sums.append(_exact_sums(terms, starts, top))
+    windows = map(_Window, lo, hi, zip(*sums), zip(*trunc), ptail)
+    return list(zip(windows, left_ok.tolist(), right_ok.tolist()))
+
+
+def _certified_windows(fs, tol, max_power, max_terms) -> Iterator:
+    """Yields, in the order of fs, each functional's certified _Window or
+    the TruncationError that ended its widening: one layout for the moment
+    engine and the pairwise oracle alike.
+
+    A rate or cap of 0 gives the window (0, -1). The first window has
+    half-width h = 14*sqrt(lambda+1) + 16: lo = max(0, floor(lambda - h))
+    and hi = max(ceil(lambda + h), 48), so its cost grows like
+    sqrt(lambda); below t its terms are 0. The tails are geometric, from
+    the edge terms:
+
+    - right: f(x+1)/f(x) <= ((x+1)/x)^2, so the term ratio beyond hi is at
+      most r = (lambda/(hi+2)) * ((hi+2)/(hi+1))^(2K), K = max_power, and
+      the tail is at most term(hi+1) / (1 - r) once r < 1;
+    - left (when lo > 0): f is nondecreasing and p(x-1)/p(x) = x/lambda,
+      so the tail is at most term(lo-1) / (1 - (lo-1)/lambda).
+
+    A side is widened, by doubling its reach from lambda, until for every
+    power its tail is at most min(tol/16, 2^-100 * the largest term of that
+    power in the window). The budget max_terms is checked on the unrounded
+    width, because from lambda ~1.6e34 on h is below half an ulp of lambda
+    and no widening could move the rounded ends, and again before each
+    window is allocated.
+
+    One list holds an entry per functional: its _Window, its
+    TruncationError, or the [lo, hi, elements] still to sum, elements
+    counting the window and its edge terms. Each pass lays the unfinished
+    windows end to end in the order of fs, from the first unfinished one,
+    up to _BATCH_ELEMENTS elements; a wider window gets a pass of its own,
+    and a widened window keeps its place, ahead of those after it. Entry i
+    is yielded, and then dropped, as soon as it is finished: a consumer
+    that stops at a failure does not pay for the wide windows after it.
+    """
+
+    def to_sum(lo, hi):
         size = hi + 2 - (lo - (lo > 0))
         if size <= max_terms:
-            return [(i, lo, hi, size)]
-        known[i] = TruncationError(
+            return [lo, hi, size]
+        return TruncationError(
             f"summation window of {size} terms exceeds the "
             f"{max_terms}-term budget"
         )
-        return []
 
-    pending = []
-    for i, f in enumerate(fs):
+    entries = []
+    for f in fs:
         if f.lam == 0.0 or f.cap_a == 0.0:
             zero = (0.0,) * max_power
-            known[i] = poisson_core._Window(0, -1, zero, zero, 0.0)
+            entries.append(_Window(0, -1, zero, zero, 0.0))
             continue
         try:
-            pending += queued(i, *poisson_core._first_window(f, max_terms))
+            entries.append(to_sum(*_first_window(f, max_terms)))
         except TruncationError as exc:
-            known[i] = exc
+            entries.append(exc)
 
-    done = 0
-    while done < len(fs):
-        if done in known:
-            yield known.pop(done)
-            done += 1
-            continue
-        chunk, used = [], 0
-        for item in pending:
-            if chunk and used + item[3] > poisson_core._BATCH_ELEMENTS:
-                break
-            chunk.append(item)
-            used += item[3]
-        del pending[: len(chunk)]
-        idx, lo, hi, _ = zip(*chunk)
-        passed = poisson_core._window_pass([fs[i] for i in idx], lo, hi, tol,
-                                           max_power)
-        widened = []
-        for i, (w, left_ok, right_ok) in zip(idx, passed):
-            if left_ok and right_ok:
-                known[i] = w
-                continue
-            lo, hi, lam = w.lo, w.hi, fs[i].lam
-            if not left_ok:
-                lo = max(0, lo - max(16, math.ceil(lam - lo)))
-            if not right_ok:
-                hi += max(16, math.ceil(hi - lam))
-            widened += queued(i, lo, hi)
-        pending[:0] = widened
+    for i in range(len(fs)):
+        while isinstance(entries[i], list):
+            chunk, used = [], 0
+            for j in range(i, len(fs)):
+                if isinstance(entries[j], list):
+                    used += entries[j][2]
+                    if chunk and used > _BATCH_ELEMENTS:
+                        break
+                    chunk.append(j)
+            lo, hi, _ = zip(*(entries[j] for j in chunk))
+            passed = _window_pass([fs[j] for j in chunk], lo, hi, tol,
+                                  max_power)
+            for j, (w, left_ok, right_ok) in zip(chunk, passed):
+                lo, hi, lam = w.lo, w.hi, fs[j].lam
+                if not left_ok:
+                    lo = max(0, lo - max(16, math.ceil(lam - lo)))
+                if not right_ok:
+                    hi += max(16, math.ceil(hi - lam))
+                entries[j] = w if left_ok and right_ok else to_sum(lo, hi)
+        yield entries[i]
+        entries[i] = None  # held by the consumer alone once yielded
 
-
-def _driven(driver, fs, tol, max_power, max_terms):
-    """(the _window_pass calls, the results) of one driver run: each call
-    as its rates, caps, lo, hi, tol and power; each result as a _Window's
-    fields or an error's type and message."""
-    calls, window_pass = [], poisson_core._window_pass
-
-    def spy(fs, lo, hi, tol, power):
-        calls.append(([(f.lam, f.cap_a, f.cap_b) for f in fs], list(lo),
-                      list(hi), tol, power))
-        return window_pass(fs, lo, hi, tol, power)
-
-    with mock.patch.object(poisson_core, "_window_pass", spy):
-        results = [tuple(r) if isinstance(r, tuple) else (type(r), str(r))
-                   for r in driver(fs, tol, max_power, max_terms)]
-    return calls, results
+def _results(windows):
+    """Each yielded result as a _Window's fields, floats as hex, or an
+    error's type and message."""
+    return [(w.lo, w.hi, [v.hex() for v in w.sums], [v.hex() for v in w.trunc],
+             w.ptail.hex()) if isinstance(w, _Window) else (type(w), str(w))
+            for w in windows]
 
 
-_DRIVER_FUNCTIONALS = st.builds(
-    lambda lam, caps: CappedFunctional(lam, *caps),
-    st.sampled_from((0.0, 0.01, 0.5, 3.0, 40.0, 200.0, 1e4, 1e13)),
-    st.sampled_from(((0.0, 1.0), (0.5, 4.0), (2.0, 8.0), (64.0, 64.0),
-                     (math.inf, math.inf))),
-)
+_RATES = st.sampled_from((0.0, 0.01, 0.5, 3.0, 40.0, 200.0, 1e4, 1e13))
+_PAIRS = st.sampled_from(((0.0, 1.0), (0.5, 4.0), (2.0, 8.0), (64.0, 64.0),
+                          (math.inf, math.inf)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(fs=st.lists(_DRIVER_FUNCTIONALS, min_size=1, max_size=12),
+@given(lams=st.lists(_RATES, min_size=1, max_size=8),
+       pairs=st.lists(_PAIRS, min_size=1, max_size=4),
+       per_rate=st.booleans(),
        tol=st.sampled_from((1e-10, 1e-300)),
        max_power=st.sampled_from((1, 2, 4)),
        max_terms=st.sampled_from((400, 10**7)))
-def test_driver_makes_the_queue_drivers_passes(fs, tol, max_power, max_terms):
-    # Batches of 512 elements take several passes, a window at lam = 1e4
-    # one of its own, and at tol 1e-300 widened windows share passes with
-    # windows not yet summed.
+def test_grid_driver_matches_the_reference(lams, pairs, per_rate, tol,
+                                           max_power, max_terms):
+    # A grid of rates (repeated and unsorted; 1e4 uncapped widens, 1e13
+    # exceeds the budget) by a column of cap pairs, or each rate with its
+    # own pair. Batches of 512 elements split a rate's rows across passes,
+    # take a window at lam = 1e4 alone, and at tol 1e-300 send widened
+    # cells to one-row passes between the grid's passes.
+    if per_rate:
+        pairs = (pairs * len(lams))[: len(lams)]
+        fs = [CappedFunctional(lam, *ab) for lam, ab in zip(lams, pairs)]
+        grid = _points(fs)
+    else:
+        fs = [CappedFunctional(lam, *ab) for lam in lams for ab in pairs]
+        grid = (lams, *np.array(pairs).T.reshape(2, -1, 1))
     with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", 512):
-        got = _driven(_certified_windows, fs, tol, max_power, max_terms)
-        want = _driven(_queue_driver, fs, tol, max_power, max_terms)
-    assert got == want
+        got = _results(poisson_core._certified_windows(
+            *grid, tol, max_power, max_terms))
+    assert got == _results(_certified_windows(fs, tol, max_power, max_terms))
 
 
 def _window_of(result, i):
@@ -379,20 +479,34 @@ class TestWindowPass:
     def test_each_window_as_if_alone(self, tol, max_power):
         # _MIXED's rates > 0 within the budget: windows from 0 up to
         # lam = 1e2, above it from lam = 1e3 on. At tol 1e-300 every first
-        # window fails its tail tests.
+        # window fails its tail tests. One pass gives each window its own
+        # pair (one row), another gives every window three pairs (a column
+        # of rows): each cell is as if summed alone.
         fs = [f for f in _MIXED if 0.0 < f.lam < 1e13]
-        lo, hi = zip(*(_first_window(f, MAX_TERMS) for f in fs))
+        lams = [f.lam for f in fs]
+        lo, hi, _ = zip(*(poisson_core._first_window(lam, MAX_TERMS)
+                          for lam in lams))
         assert lo[0] == 0 < lo[-1]
-        together = _window_pass(fs, lo, hi, tol, max_power)
+        window_pass = poisson_core._window_pass
+        pairs = ((0.5, 4.0), (2.0, 16.0), (math.inf, math.inf))
+        own = window_pass(lams, lo, hi, *_points(fs)[1:], tol, max_power)
+        rows = window_pass(lams, lo, hi, *np.array(pairs).T.reshape(2, -1, 1),
+                           tol, max_power)
+        n = len(fs)
         for i, f in enumerate(fs):
-            alone = _window_pass([f], lo[i : i + 1], hi[i : i + 1], tol,
-                                 max_power)
-            assert _window_of(together, i) == _window_of(alone, 0), f
+            cells = [(own, (f.cap_a, f.cap_b)),
+                     *((rows[j * n :], ab) for j, ab in enumerate(pairs))]
+            for row, caps in cells:
+                alone = window_pass([f.lam], lo[i : i + 1], hi[i : i + 1],
+                                    *np.reshape(caps, (2, 1, 1)), tol,
+                                    max_power)
+                assert _window_of(row, i) == _window_of(alone, 0), (f, caps)
 
     def test_peak_memory_of_a_wide_window(self):
-        # One window of 280,035 terms at lam = 1e8. The pass builds the
-        # pmf's per-element rate arrays and then the functional's caps, one
-        # pair at a time: all four at once peak at about 30 MiB.
+        # One window of 280,035 terms at lam = 1e8. A one-window pass takes
+        # its rate and caps as single values: 21.6 MiB here, against 25.9
+        # MiB with per-element rate and cap arrays and about 30 MiB with
+        # all four at once.
         f = CappedFunctional(1e8, 2.0, 4.0)
         tracemalloc.start()
         try:
@@ -400,4 +514,4 @@ class TestWindowPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * 2**20
+        assert peak <= 24 * 2**20

@@ -23,10 +23,13 @@ and quartiles of each phase over the N repeats.
 
 With --against REF, a git ref of this checkout's repository, REF's src
 directory is extracted with git archive and timed too, the two sides
-alternating repeat by repeat and taking turns to go first. With --label L
-the stamp (nproc, Python, NumPy and NumPy's SIMD "found" list), the
-arguments and every run are written to BENCH_<L>.json at the repository
-root, DIR's runs under "src" and REF's under REF.
+alternating repeat by repeat and taking turns to go first. The script then
+also prints, per phase, the paired ratio: the median over repeats of DIR's
+time over REF's in the same repeat, with a bootstrap 95% interval of that
+median (2,000 resamples of the repeats, seed 0). With --label L the stamp
+(nproc, Python, NumPy and NumPy's SIMD "found" list), the arguments and
+every run are written to BENCH_<L>.json at the repository root, DIR's runs
+under "src" and REF's under REF, and the paired ratios under "paired".
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -151,6 +155,22 @@ def summary(runs: list) -> dict:
     return result
 
 
+def paired(runs: list, ref_runs: list) -> dict:
+    """Per entry of the runs: the median over repeats of runs[r] / ref_runs[r],
+    a bootstrap 95% interval of that median (2,000 resamples of the
+    repeats, seed 0) and the ratios."""
+    rng = random.Random(0)
+    result = {}
+    for name in runs[0]:
+        ratios = [run[name] / ref[name] for run, ref in zip(runs, ref_runs)]
+        medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                         for _ in range(2000))
+        result[name] = {"median": statistics.median(ratios),
+                        "ci95": [medians[50], medians[1949]],
+                        "ratios": ratios}
+    return result
+
+
 def alternating(src: Path, against, repeats: int, run) -> dict:
     """{side: [run(side's src directory) for each repeat]} for src and, with
     against, a git ref, for that ref's src too: the sides alternate repeat
@@ -210,6 +230,12 @@ def main() -> int:
         for phase, s in phases.items():
             print(f"  {phase:22} {s['median'] * 1e3:9.2f} ms  "
                   f"[{s['q1'] * 1e3:.2f}, {s['q3'] * 1e3:.2f}]")
+    if args.against is not None:
+        record["paired"] = paired(runs["src"], runs[args.against])
+        print(f"src / {args.against}, paired by repeat:")
+        for phase, p in record["paired"].items():
+            print(f"  {phase:22} {p['median']:9.3f}  "
+                  f"95% [{p['ci95'][0]:.3f}, {p['ci95'][1]:.3f}]")
     if args.label is not None:
         path = ROOT / f"BENCH_{args.label}.json"
         path.write_text(json.dumps(record, indent=2) + "\n")

@@ -11,7 +11,8 @@ untimed one:
 - "certify lemma1" and "falsify 50": the arguments (values, starts, top)
   of every call that the window passes of `certify lemma1`'s sweep on the
   default grid and of `falsify --target 50`'s search make, captured by a
-  spy on _exact_sums as _window_pass calls it;
+  spy on _exact_sums as _window_pass calls it (values has a row per cap
+  row of the pass, and every element counts as a term);
 - "1e6 x 1" ... "1e7 x 1000": 10^6 and 10^7 values drawn uniformly from
   [0, 1) (seed 1) in 1 and in 1,000 segments of equal length, with their
   segment maxima.
@@ -95,7 +96,7 @@ def time_cases() -> dict:
         for args in calls:
             _exact_sums(*args)
         seconds = time.perf_counter() - clock
-        terms = sum(len(args[0]) for args in calls)
+        terms = sum(args[0].size for args in calls)
         times[name] = {"ns_per_term": seconds / terms * 1e9, "terms": terms,
                        "calls": len(calls), "fallbacks": fsum.call_count}
     return times
