@@ -120,13 +120,17 @@ def mc_moments(model: DStatisticModel, replications: int, seed: int,
     the replications fit, else one slice's next run of draws. Per round the
     caller builds up to `threads` groups' streams, threads fill one block
     each (_fill), and the caller adds the rows into the totals in slice
-    order, so every bit of the result is the same for any thread count.
+    order, so every bit of the result is the same for any thread count. A
+    rate past what numpy's sampler takes raises OverflowError.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
     slices = [(w, rate, z) for z, (w, rate) in
               enumerate(zip(model.weights.tolist(), model.rates.tolist()))
               if w != 0.0 and rate != 0.0]
+    top = np.iinfo(np.int64).max  # numpy's sampler takes rates to about this
+    if any(rate > top - 10.0 * math.sqrt(top) for _, rate, _ in slices):
+        raise OverflowError("a slice rate exceeds what numpy's sampler takes")
     cols = min(replications, _MC_CHUNK)
     per_block = _MC_CHUNK // cols
     groups = [slices[i : i + per_block] for i in range(0, len(slices), per_block)]

@@ -2,13 +2,14 @@
 
 The central object is f(X) = X*sqrt(min(X,a)*min(X,b))*1(X >= t) for
 X ~ Poisson(lambda). Moments are computed by truncated summation with a
-rigorous geometric tail certificate, and every returned estimate carries a
-certified absolute error bound (truncation tail plus a propagated
-floating-point roundoff term). An independent pairwise-difference variance
-oracle (Var[W] = E[(W - W')^2]/2, summed over the same window) and a seeded
-Monte Carlo cross-check (numpy's sampler, evaluated on the draw histogram)
-are provided for dual-route validation; thread_map runs such independent
-checks on several threads.
+rigorous geometric tail certificate or, for a mean and variance at lambda
+>= 2K (_corrections), as closed forms minus K-term sums; every returned
+estimate carries a certified absolute error bound (truncation tail, if any,
+plus a propagated floating-point roundoff term). An independent
+pairwise-difference variance oracle (Var[W] = E[(W - W')^2]/2, summed over
+the same window) and a seeded Monte Carlo cross-check (numpy's sampler,
+evaluated on the draw histogram) are provided for dual-route validation;
+thread_map runs such independent checks on several threads.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class CappedFunctional:
 @dataclass(frozen=True)
 class MomentEstimate:
     """A computed moment with a certified absolute error bound; terms_used
-    is the number of terms summed, hi - lo + 1 over the window [lo, hi]."""
+    is the number of terms summed, hi - lo + 1 over the window [lo, hi], or
+    K or 0 for a decomposed functional (_corrections)."""
 
     value: float
     tail_bound: float
@@ -364,7 +366,8 @@ def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
     """Yields the certified _Window, or the TruncationError that ended its
     widening, of each functional (i, j) of a grid, by i and then j: rate
     lams[i], caps caps_a[j, i] <= caps_b[j, i] from float64 arrays, a column
-    (rows, 1) of every rate's pairs or a row (1, len(lams)) of each rate's.
+    (rows, 1) of every rate's pairs, a row (1, len(lams)) of each rate's,
+    or the whole grid (rows, len(lams)).
 
     A rate or cap of 0 gives the window (0, -1). The first window has
     half-width h = 14*sqrt(lambda+1) + 16: lo = max(0, floor(lambda - h))
@@ -389,8 +392,9 @@ def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
     TruncationError, or its _to_sum entry, which a rate's rows share until
     their first window is summed. A pass starts at the first unfinished
     entry and holds at most _BATCH_ELEMENTS elements, or one wider window.
-    At a first window it takes as many of the rate's rows from there as fit
-    (one at least), and if all fit, the whole rates after it that fit too.
+    At a first window it takes as many of the rate's rows still to sum as
+    fit (one at least), and if all fit, the rates after it that fit too and
+    have the same rows to sum, skipping those with none.
     At a widened window it takes the widened windows up to the next first
     window, as one-row cells. Entry i is yielded, and dropped, once it is
     finished; a consumer that stops there skips the wide windows after."""
@@ -398,27 +402,33 @@ def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
     cells_a, cells_b = (np.broadcast_to(c, (rows, n)).T.ravel()
                         for c in (caps_a, caps_b))
     zero = _Window(0, -1, (0.0,) * max_power, (0.0,) * max_power, 0.0)
-    firsts = [_first_window(lam, max_terms) if lam else zero for lam in lams]
+    live = (np.broadcast_to(caps_a, (rows, n)) > 0.0).any(axis=0).tolist()
+    firsts = [_first_window(lam, max_terms) if lam and any_cap else zero
+              for lam, any_cap in zip(lams, live)]  # no window if all caps 0
     entries = [firsts[k // rows] if a else zero
                for k, a in enumerate(cells_a.tolist())]
 
+    def todo(i):  # the rows still to sum rate i's first window over
+        return [j for j in range(rows) if entries[i * rows + j] is firsts[i]]
+
     for k in range(len(entries)):
         while isinstance(entries[k], list):
-            i, j = divmod(k, rows)
+            i = k // rows
             if entries[k] is firsts[i]:
-                end = min(rows, j + max(1, _BATCH_ELEMENTS // firsts[i][2]))
-                rates, used = [i], (end - j) * firsts[i][2]
-                if j == 0 and end == rows:  # whole rates: those after fit too
-                    for i2 in range(i + 1, n):
-                        if isinstance(firsts[i2], list):
-                            used += rows * firsts[i2][2]
-                            if used > _BATCH_ELEMENTS:
-                                break
-                            rates.append(i2)
+                rest = todo(i)
+                fit = rest[: max(1, _BATCH_ELEMENTS // firsts[i][2])]
+                rates, used = [i], len(fit) * firsts[i][2]
+                for i2 in range(i + 1, n) if fit == rest else ():
+                    if later := isinstance(firsts[i2], list) and todo(i2):
+                        used += len(later) * firsts[i2][2]
+                        if later != fit or used > _BATCH_ELEMENTS:
+                            break
+                        rates.append(i2)
                 windows = [firsts[i2] for i2 in rates]
-                cells = [i2 * rows + j2 for j2 in range(j, end) for i2 in rates]
-                caps = (c[j:end] if c.shape[1] == 1 else c[:, rates]
-                        for c in (caps_a, caps_b))
+                cells = [i2 * rows + j2 for j2 in fit for i2 in rates]
+                caps = [c[fit] if c.shape[1] == 1 else c[fit][:, rates]
+                        for c in (caps_a, caps_b)]
+                caps = [c[:, :1] if (c == c[:, :1]).all() else c for c in caps]
             else:
                 chunk, used = [], 0
                 for k2 in range(k, len(entries)):
@@ -435,8 +445,6 @@ def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
             passed = _window_pass([lams[i2] for i2 in rates], lo, hi, *caps,
                                   tol, max_power)
             for c, (w, left_ok, right_ok) in zip(cells, passed):
-                if not isinstance(entries[c], list):
-                    continue  # a cap of 0, summed beside its rate's rows
                 lo, hi, lam = w.lo, w.hi, lams[c // rows]
                 if not left_ok:
                     lo = max(0, lo - max(16, math.ceil(lam - lo)))
@@ -453,21 +461,107 @@ def _points(fs):
             np.array([[f.cap_b for f in fs]], float))
 
 
+class _Correction(NamedTuple):
+    """E[g], E[P g] and E[g^2] (_corrections), their certified errors, and
+    the terms summed: K, or 0 where the Chernoff bound stands in for them."""
+
+    terms: int
+    sums: tuple
+    bounds: tuple
+
+
+def _corrections(points) -> Iterator:
+    """Yields the _Correction of each point (lambda, a, b, K, _fp_rel(lambda))
+    of f = P - g: P(x) = sqrt(ab) x, or x^2 for infinite caps, and g = P - f
+    (_capped), 0 from x = K on and >= 0, as rounding is monotone. Where the
+    Chernoff bound P(X < K) <= e^-lambda (e lambda / K)^K, rounded up in log
+    space, is at most K 2^-1074, the sums are 0 and err by at most
+    P(K - 1)^j >= g^j times it (so for every K > 2400, as lambda >= 2K).
+    Otherwise g p, P g p, g^2 p and p are summed over x < K, one pmf per run of
+    points of one rate, in passes of at most _BATCH_ELEMENTS, and err by
+    (_fp_rel + 4u) times each, for the pmf and the products, plus P(K - 1)^j
+    times 18u sum p, for g (within 8u P), and K 2^-1073, for underflowed p
+    (u = 2^-53)."""
+    batch, used = [], 0
+    for point in points:
+        lam, _, _, k, _ = point
+        log_c = k * (1.0 + math.log(lam) - math.log(k)) - lam
+        live = log_c > math.log(k * 2.0**-1074)
+        if used + 4 * k * live > _BATCH_ELEMENTS:
+            yield from _correction_pass(batch)
+            batch, used = [], 0
+        batch.append((point, log_c, live))
+        used += 4 * k * live
+    yield from _correction_pass(batch)
+
+
+def _correction_sums(points) -> list:
+    """The exact sums of g p, P g p, g^2 p and p over x < K of each point
+    of _corrections, from one pmf per run of points of one rate. Not a
+    generator: its arrays are freed before the corrections are yielded."""
+    lams, a, b, sizes = (np.array([q[j] for q in points]) for j in range(4))
+    new = np.diff(lams, prepend=-1.0) != 0.0  # the first point of a rate
+    width = np.maximum.reduceat(sizes, np.flatnonzero(new))
+    at, starts = np.cumsum(width) - width, np.cumsum(sizes) - sizes
+    x = np.arange(width.sum(), dtype=np.float64) - np.repeat(at, width)
+    p = _pmf(x, np.repeat([math.log(v) for v in lams[new].tolist()], width),
+             np.repeat(lams[new], width))
+    x = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    p = p[x + np.repeat(at[np.cumsum(new) - 1], sizes)]
+    x, a, b = x.astype(np.float64), np.repeat(a, sizes), np.repeat(b, sizes)
+    poly = np.where(a == math.inf, x, np.sqrt(a * b)) * x
+    g = poly - _capped(x, a, b)
+    terms = np.stack((g, poly * g, g * g, np.ones_like(g)))
+    terms *= p
+    return list(zip(*_exact_sums(terms, starts,
+                                 np.maximum.reduceat(terms, starts, axis=1))))
+
+
+def _correction_pass(batch) -> Iterator:
+    """_corrections of the (point, log Chernoff bound, live) of batch."""
+    points = [q for q, _, live in batch if live]
+    sums = iter(_correction_sums(points) if points else ())
+    for (lam, a, b, k, fp), log_c, live in batch:
+        top = (k - 1.0) * (k - 1.0 if a == math.inf else math.sqrt(a * b))
+        if live:  # g's rounding and underflowed p
+            *got, mass = next(sums)
+            err = 9.0 * _EPS * mass + k * 2.0**-1073
+        else:  # the Chernoff bound on P(X < K)
+            got = (0.0,) * 3
+            slack = 2.0**-48 * (lam + k * (2.0 + math.log(lam) + math.log(k)))
+            err = math.nextafter(math.exp(log_c + slack), math.inf)
+        yield _Correction(k if live else 0, tuple(got), tuple(
+            (fp + 2.0 * _EPS) * v + w * err
+            for v, w in zip(got, (top, top * top, top * top))))
+
+
 def _batched_moments(lams, caps_a, caps_b, tol, order) -> Iterator:
     """Yields the Moments, or the ArithmeticError that computing them raised,
     of each functional of a _certified_windows grid, in its order. An order
-    outside (1, 2, 4) or a tolerance not > 0 raises ValueError at the call."""
+    outside (1, 2, 4) or a tolerance not > 0 raises ValueError at the call.
+    At order 1 or 2, caps both finite (a > 0) or both infinite (K = 4) and
+    lambda >= 2K take _corrections, and cap 0 in the window grid."""
     if order not in (1, 2, 4):
         raise ValueError(f"order must be 1, 2 or 4, got {order}")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     rows, fps = len(caps_a), [_fp_rel(lam) for lam in lams]
-    a, b = (np.broadcast_to(c, (rows, len(lams))).T.ravel().tolist()
-            for c in (caps_a, caps_b))
+    a, b = (np.broadcast_to(c, (rows, len(lams))) for c in (caps_a, caps_b))
+    ks = np.where(a == math.inf, 4.0, np.maximum(np.ceil(b), 4.0))
+    ks = np.where((order < 4) & (a > 0.0) & ((b < math.inf) | (a == b))
+                  & (np.array(lams, dtype=np.float64) >= 2.0 * ks), ks, 0.0)
+    caps_a = np.where(ks > 0.0, 0.0, a) if ks.any() else caps_a
+    a, b = (c.T.ravel().tolist() for c in (a, b))
+    ks = ks.T.ravel()
+    routed = (ks > 0.0).tolist()
+    corrections = _corrections((lams[k // rows], a[k], b[k], int(ks[k]),
+                                fps[k // rows]) for k in np.flatnonzero(ks))
 
     def stream(windows):
         for k, w in enumerate(windows):
-            if isinstance(w, _Window):
+            if routed[k]:
+                w = next(corrections)
+            if isinstance(w, (_Window, _Correction)):
                 try:
                     w = _moments((lams[k // rows], a[k], b[k]), w, order,
                                  fps[k // rows])
@@ -486,12 +580,28 @@ def _moments(point, w, order, fp) -> Moments:
     def certified(name, value, bound):
         # A bound above the value certifies nothing: at very large rates the
         # cancellation in the central moments can leave pure roundoff.
+        if value == math.inf:
+            raise OverflowError(f"the {name} overflows at {point}")
         if bound > value:
             raise TruncationError(
                 f"certified bound {bound!r} exceeds the {name} "
                 f"{value!r} at {point}"
             )
         return MomentEstimate(value, bound, w.terms)
+
+    if isinstance(w, _Correction):  # f = P - g: P's closed forms, g's sums
+        (g1, g2, g3), (e1, e2, e3) = w.sums, w.bounds
+        lam, a, b = point
+        ab, m1, v = ((1.0, lam + lam * lam, ((4.0 * lam + 6.0) * lam + 1.0) * lam)
+                     if a == math.inf else (a * b, lam, lam))
+        cm, cv = math.sqrt(ab) * m1, ab * v
+        mean = certified("mean", cm - g1, 4.0 * _EPS * cm + e1)
+        if order == 1:
+            return Moments(mean)
+        var = cv + 2.0 * (cm * g1 - g2) + (g3 - g1 * g1)
+        return Moments(mean, certified("variance", var, 8.0 * _EPS * (
+            cv + 2.0 * cm * g1 + g3 + g1 * g1) + 2.0 * (cm * e1 + e2) + e3
+            + (2.0 * g1 + e1) * e1))
 
     s1, t1 = w.sums[0], w.trunc[0]
     mean = certified("mean", s1, t1 + fp * s1)
@@ -536,11 +646,14 @@ def moments(
     """Certified moments of f(X) up to the given order (1, 2 or 4) from one
     summation pass: moments_many([f], tol, order).
 
-    The sums come from f's _certified_windows window, at order 2 the
+    At order 1 or 2, with both caps finite or both infinite and lambda >=
+    2K, K = max(ceil(b), 4), the mean and variance cost K terms or O(1) and
+    nothing cancels (_corrections). Otherwise the sums come from f's
+    _certified_windows window, O(sqrt(lambda)) terms, at order 2 the
     window variance_pairwise sums over, its tails cut at min(tol/16,
     2^-100 * the largest term) for every power, each sum correctly rounded
     (_exact_sums). The variance is E[f^2] - E[f]^2 with the error bound
-    propagated; it has no other route. Order 4 adds
+    propagated. Order 4 adds
     the fourth central moment E[(f(X) - E f(X))^4], used for variance
     standard-error bands. A higher order can widen the summation window,
     which moves lower moments in the last bit, so ask for the lowest order

@@ -1,17 +1,24 @@
 """Certified bounds against 40-digit truths: every moment the engine and the
 pairwise oracle return lies within its tail_bound of the true value, and
-every window's tails cover the true sums outside it."""
+every window's tails cover the true sums outside it; the decomposition's
+moments and correction sums, against 40- and 50-digit truths, likewise."""
 
 import math
 
 import pytest
 
+from poissonlab import poisson_core
+from poissonlab.inequality_lab import default_grid
 from poissonlab.poisson_core import (
+    DEFAULT_TOL,
     MAX_TERMS,
     CappedFunctional,
     _certified_windows,
+    _corrections,
+    _fp_rel,
     _points,
     moments,
+    moments_many,
     variance_pairwise,
 )
 
@@ -88,3 +95,104 @@ def test_truth_within_bounds(lam, caps, tol, order):
     assert order < 2 or _within(m.variance, var)
     assert order < 4 or _within(m.mu4, mu4)
     assert _within(variance_pairwise(f, tol), var)
+
+
+# The decomposition f = P - g (poisson_core._corrections): (lambda, caps)
+# from lambda = 2K to 1e12. Up to 1e4 the truth is the direct 40-digit sum
+# above, which does not use the identity; above, the identity at 50 digits.
+DECOMPOSED = (
+    (8.0, (2.0, 4.0)),
+    (30.0, (2.0, 4.0)),
+    (500.0, (2.0, 4.0)),
+    (1e6, (2.0, 4.0)),
+    (1e12, (2.0, 4.0)),
+    (512.0, (256.0, 256.0)),
+    (1e4, (256.0, 256.0)),
+    (1e8, (256.0, 256.0)),
+    (2048.0, (1024.0, 1024.0)),
+    (1e5, (1024.0, 1024.0)),
+    (1e12, (1024.0, 1024.0)),
+    (8.0, (INF, INF)),
+    (30.0, (INF, INF)),
+    (500.0, (INF, INF)),
+    (1e4, (INF, INF)),
+    (1e12, (INF, INF)),
+)
+
+
+def _k(f):
+    return 4 if f.cap_a == INF else max(math.ceil(f.cap_b), 4)
+
+
+def _correction_truth(f):
+    """(E[g], E[P g], E[g^2], E[P], Var[P]) at 50 digits: P = sqrt(ab) x,
+    or x^2 for infinite caps, and g = P - f on x < K."""
+    with mp.workdps(50):
+        lam = mp.mpf(f.lam)
+        c = 1 if f.cap_a == INF else mp.sqrt(mp.mpf(f.cap_a) * f.cap_b)
+        sums = [mp.mpf(0)] * 3
+        for x in range(_k(f)):
+            p = mp.exp(x * mp.log(lam) - lam - mp.loggamma(x + 1))
+            poly = x * x if f.cap_a == INF else c * x
+            fx = 0
+            if x >= CappedFunctional.threshold:
+                fx = x * mp.sqrt(mp.mpf(min(x, f.cap_a)) * min(x, f.cap_b))
+            g = poly - fx
+            for j, term in enumerate((g, poly * g, g * g)):
+                sums[j] += term * p
+        if f.cap_a == INF:
+            return (*sums, lam + lam**2, 4 * lam**3 + 6 * lam**2 + lam)
+        return (*sums, c * lam, c * c * lam)
+
+
+def _relative(est, truth):
+    with mp.workdps(50):
+        return abs(mp.mpf(est.value) - truth) / truth
+
+
+@pytest.mark.parametrize("lam, caps", DECOMPOSED)
+def test_decomposed_truth_within_bounds(lam, caps):
+    f = CappedFunctional(lam, *caps)
+    g1, g2, g3, mean_p, var_p = _correction_truth(f)
+    if lam <= 1e4:
+        mean, var = _truth(f, 0, -1)[:2]
+    else:
+        with mp.workdps(50):
+            mean = mean_p - g1
+            var = var_p - 2 * (g2 - mean_p * g1) + g3 - g1**2
+    m1, m2 = moments(f, order=1), moments(f, order=2)
+    assert m1.mean == m2.mean
+    assert m2.mean.terms_used in (0, _k(f))
+    assert _within(m2.mean, mean) and _within(m2.variance, var)
+    assert _relative(m2.mean, mean) <= 1e-14
+    assert _relative(m2.variance, var) <= 1e-14
+
+
+@pytest.mark.parametrize("lam, caps", DECOMPOSED)
+def test_correction_sums_within_bounds(lam, caps):
+    # Each of E[g], E[P g] and E[g^2] against its 50-digit truth: summed,
+    # or 0 with the Chernoff bound, which must cover the whole sum.
+    f = CappedFunctional(lam, *caps)
+    (c,) = _corrections([(lam, *caps, _k(f), _fp_rel(lam))])
+    truths = _correction_truth(f)[:3]
+    with mp.workdps(50):
+        for value, bound, truth in zip(c.sums, c.bounds, truths):
+            assert abs(mp.mpf(value) - truth) <= bound, (value, bound)
+    assert (c.terms == 0) == (c.sums == (0.0, 0.0, 0.0))
+
+
+def test_routes_agree_on_the_default_grid():
+    # Every default lemma1 point with 2K <= lambda <= 1e4: the decomposed
+    # moments and the window's, each within the sum of their bounds.
+    grid = default_grid("lemma1")
+    points = [CappedFunctional(lam, a, b) for lam in grid.lambda_points
+              for a, b in grid.cap_pairs
+              if 2 * max(math.ceil(b), 4) <= lam <= 1e4]
+    assert len(points) > 100
+    windows = _certified_windows(*_points(points), DEFAULT_TOL, 2, MAX_TERMS)
+    for f, w, m in zip(points, windows, moments_many(points, DEFAULT_TOL, 2)):
+        point = (f.lam, f.cap_a, f.cap_b)
+        ref = poisson_core._moments(point, w, 2, _fp_rel(f.lam))
+        assert m.mean.terms_used < w.terms
+        for a, b in ((m.mean, ref.mean), (m.variance, ref.variance)):
+            assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound, point

@@ -59,12 +59,24 @@ class TestExitCodes:
         assert doc["result"]["found"] is False
 
     def test_falsify_needs_a_certified_witness(self, capsys):
-        # k = 64's point ratio, 64.0078, reaches the target; its ratio_lo,
-        # 62.04, does not.
-        code, doc = run_json(capsys, "falsify", "--target", "64.005")
-        assert code == EX_PREDICATE
-        assert doc["result"]["found"] is False
-        assert doc["result"]["ratio_lo"] < 64.005 < doc["result"]["ratio"]
+        # k = 64's point ratio, 64 (its true value), reaches the target; its
+        # ratio_lo, a few ulps below, does not: the witness is k = 128.
+        code, doc = run_json(capsys, "falsify", "--target", "64")
+        assert code == EX_OK
+        r = doc["result"]
+        assert r["found"] is True and r["a"] == r["b"] == 128.0
+        assert r["trail"][-2] == {"k": 64, "lambda": 409600.0, "ratio": 64.0}
+        assert 64.0 <= r["ratio_lo"] < r["ratio"] == 128.0
+
+    def test_falsify_reaches_k_1024(self, capsys):
+        # lambda = 100 * 1024^2: the decomposition certifies the variance
+        # that the window lost to cancellation from k = 256 on.
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "falsify", "--target", "1000")
+        assert time.perf_counter() - start < 1.0
+        r = doc["result"]
+        assert code == EX_OK and r["found"] is True and r["a"] == 1024.0
+        assert r["ratio_lo"] >= 1000.0
 
     def test_falsify_usage(self, capsys):
         assert run(capsys, "falsify", "--target", "0")[0] == EX_USAGE
@@ -85,10 +97,10 @@ class TestExitCodes:
         assert run(capsys, "simulate-d", "--reps", "1")[0] == EX_USAGE
 
     def test_numeric_failure(self, capsys):
-        # at per-slice rates near 1e9 the variance's certified bound exceeds
-        # its value (cancellation), surfacing as the numeric-error exit code
+        # per-slice rates near 1e299, past the largest numpy's Poisson
+        # sampler takes, surface as the numeric-error exit code
         code, _ = run(
-            capsys, "simulate-d", "--m", "1e11", "--reps", "10", "--seed", "1"
+            capsys, "simulate-d", "--m", "1e300", "--reps", "10", "--seed", "1"
         )
         assert code == EX_NUMERIC
 
@@ -243,13 +255,16 @@ class TestFilesAndDeterminism:
 
 class TestNoVacuousCertificate:
     def test_every_point_truncated(self, capsys):
-        # at lam = 5e6 the variance's certified bound exceeds its value
+        # at lam = 5e6 the variance's certified bound exceeds its value on
+        # the window, which b = inf keeps
         code, doc = run_json(
-            capsys, "certify", "lemma1", "--lambda", "5e6", "--caps", "2,4"
+            capsys, "certify", "lemma1", "--lambda", "5e6", "--caps", "2,inf"
         )
         assert code == EX_NUMERIC
         assert doc["result"]["records"] == []
         assert doc["result"]["certified"] is False
+        [skipped] = doc["result"]["skipped"]
+        assert "exceeds the variance" in skipped["reason"]
 
     def test_negative_rate(self, capsys):
         code, doc = run_json(capsys, "certify", "lemma1", "--lambda", "-1")
@@ -258,11 +273,14 @@ class TestNoVacuousCertificate:
         assert doc["result"]["certified"] is False
 
     def test_errored_point_beside_good_ones(self, capsys):
-        code, doc = run_json(capsys, "certify", "claim23", "--lambda", "1e15,10")
+        # b = 1e16 keeps lambda = 1e15 below 2K, on its window, whose width
+        # exceeds the term budget
+        code, doc = run_json(capsys, "certify", "claim23", "--lambda", "1e15,10",
+                             "--caps", "2,4", "--caps", "2,1e16")
         assert code == EX_NUMERIC
         r = doc["result"]
         assert r["certified"] is False
-        assert len(r["records"]) == 15
+        assert len(r["records"]) == 3 and len(r["skipped"]) == 1
         assert all(s["reason"].startswith("TruncationError") for s in r["skipped"])
 
     @pytest.mark.parametrize("caps", ["2,1e400", "1e200,1e200"])
@@ -293,7 +311,7 @@ class TestNoVacuousCertificate:
         monkeypatch.setattr(poisson_core, "_capped",
                             lambda x, a, b: -capped(x, a, b))
         code = main(["simulate-d", "--n", "5", "--reps", "100",
-                     "--l1", "2", "--l2", "2"])
+                     "--l1", "2", "--l2", "2", "--m", "10"])
         assert code == EX_NUMERIC
         assert "exact sums take finite values >= 0" in capsys.readouterr().err
 
@@ -618,13 +636,15 @@ def time_limit(seconds):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certify", "lemma1", "--lambda", "1e300", "--caps", "2,4"],
+        ["certify", "lemma1", "--lambda", "1e300", "--caps", "2,inf"],
         ["simulate-d", "--n", "2", "--reps", "2", "--m", "1e300"],
     ],
     ids=["certify", "simulate-d"],
 )
 def test_huge_rate_fails_at_once(tmp_path, capsys, argv):
-    # h = 14 sqrt(lam + 1) + 16 is below half an ulp of lam here
+    # certify: h = 14 sqrt(lam + 1) + 16 is below half an ulp of lam on the
+    # window, which b = inf keeps; simulate-d: the slice rates pass the
+    # largest numpy's Poisson sampler takes
     start = time.perf_counter()
     with time_limit(30):
         code = main([*argv, "--out", str(tmp_path / "out")])

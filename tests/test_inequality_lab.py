@@ -192,21 +192,23 @@ class TestSweep:
 
     def test_claim23_checks_come_before_the_moments(self):
         # The caps' ValueError beats the TruncationError at 1e13, and a
-        # negative rate with integer caps is vacuous, not a bad rate.
-        cert = sweep(GridSpec((-1.0, 1e13), ((2.5, 3.0), (2.0, 4.0))), "claim23")
+        # negative rate with integer caps is vacuous, not a bad rate. A cap
+        # of 1e13 keeps lambda = 1e13 below 2K, on its window.
+        cert = sweep(GridSpec((-1.0, 1e13), ((2.5, 3.0), (2.0, 1e13))), "claim23")
         assert cert.records == [] and cert.errored == 3
         assert [s[3] for s in cert.skipped] == [
             "ValueError: caps must be integers >= 2, got 2.5",
-            "denominator -1.0 below floor at (-1.0, 2.0, 4.0)",
+            "denominator -1.0 below floor at (-1.0, 2.0, 10000000000000.0)",
             "ValueError: caps must be integers >= 2, got 2.5",
             "TruncationError: summation window of 8.85438e+07 terms exceeds "
             "the 10000000-term budget",
         ]
 
     def test_corrected_edge_points(self):
-        cert = sweep(GridSpec((-1.0, 1e13, 1.0), ((0.0, 1.0), (2.0, 4.0))),
+        # A cap of 1e13 keeps lambda = 1e13 below 2K, on its window.
+        cert = sweep(GridSpec((-1.0, 1e13, 1.0), ((0.0, 1.0), (2.0, 1e13))),
                      "corrected")
-        assert [r.key() for r in cert.records] == [(1.0, 2.0, 4.0)]
+        assert [r.key() for r in cert.records] == [(1.0, 2.0, 1e13)]
         assert cert.errored == 3
         assert [s[3] for s in cert.skipped] == [
             "ValueError: rate must be finite and >= 0, got -1.0",
@@ -244,17 +246,17 @@ class TestWitnessSearch:
         assert res.ratio > 100.0  # best witness before the engine gave up
 
     def test_witness_is_certified_by_ratio_lo(self):
-        # At k = 64 the point ratio is 64.0078, but the true ratio is 64 and
-        # the moments' bounds leave [62.04, 65.98]: no certified witness.
-        # At k = 128 ratio_lo is 58.29, and k = 256 fails its variance guard.
-        res = find_counterexample(64.005)
-        assert not res.found
-        assert (res.cap_a, res.ratio_lo) == (128.0, pytest.approx(58.29, 1e-4))
+        # At k = 64 the point ratio is 64, its true value, and reaches the
+        # target 64; ratio_lo, rounded down past the bounds, does not. So
+        # the witness is k = 128, whose ratio_lo is within 1e-14 of 128.
+        res = find_counterexample(64.0)
+        assert res.found and res.cap_a == 128.0
+        assert res.trail[-2] == (64, 409600.0, 64.0)
         assert [k for k, _lam, _r in res.trail] == [4, 8, 16, 32, 64, 128]
+        assert 128.0 * (1.0 - 1e-14) < res.ratio_lo < res.ratio == 128.0
         res = find_counterexample(50.0)
         assert res.found and res.cap_a == 64.0
-        assert 50.0 <= res.ratio_lo == pytest.approx(62.036, 1e-4)
-        assert res.ratio_lo < 64.0 < res.ratio
+        assert 64.0 * (1.0 - 1e-14) < res.ratio_lo < res.ratio == 64.0
 
 
 def test_sweep_one_summation_pass_per_point(summation_calls):
@@ -332,19 +334,32 @@ def test_plateau_reads_the_sweep_ratios(engine, lambdas, pairs, summed):
 
 
 def test_witness_walk_sums_nothing_past_the_witness(engine):
+    # Every point of the schedule has lambda = 100 k^2 >= 2k: its moments
+    # come from the decomposition, whose correction the Chernoff bound
+    # stands in for, so the walk sums no window at all.
     calls, passes = engine
     assert find_counterexample(50.0).found  # at k = 64, lambda = 409,600
     assert len(calls) == 1
-    assert len(passes) <= 2
-    assert max(passes) <= 409600.0
+    assert passes == []
+
+
+def test_claim23_sums_no_pair_its_caps_fail(engine):
+    # Caps 2.5 fail claim23's vet at every rate: the pair is not summed, and
+    # each of its 25 points keeps the check's message.
+    calls, passes = engine
+    cert = sweep(default_grid("claim23", cap_pairs=((2.5, 3.0),)), "claim23")
+    assert passes == [] and cert.records == [] and cert.errored == 25
+    assert {s[3] for s in cert.skipped} == {
+        "ValueError: caps must be integers >= 2, got 2.5"}
 
 
 def test_grid_stream_sums_one_rate_for_its_first_point(engine):
     # lambda = 1e3's 28 rows of 921 elements fill one pass, and one row of
     # lambda = 1e4 (2,837 elements) would not fit beside them: a consumer
-    # that stops after the first point sums that rate's block alone.
+    # that stops after the first point sums that rate's block alone. Caps
+    # b * 1e6 keep both rates below 2K, on their windows.
     calls, passes = engine
-    pairs = default_grid("lemma1").cap_pairs
+    pairs = [(a, b * 1e6) for a, b in default_grid("lemma1").cap_pairs]
     point, first = next(_ratios("corrected", (1e3, 1e4), pairs, DEFAULT_TOL))
     assert point == (1e3, *pairs[0])
     assert first == _ratio("corrected", *point, DEFAULT_TOL)

@@ -346,11 +346,12 @@ class TestTwoSidedWindow:
 
     def test_oracle_sums_the_engine_window(self):
         # One window layout: the pairwise oracle's window is the engine's
-        # at order 2, below t included.
+        # at order 2, below t included. (moments takes the decomposition at
+        # some of these points, so the window comes from the driver.)
         for point in ORACLE_POINTS:
             f = CappedFunctional(*point)
-            engine = moments(f, order=2).variance.terms_used
-            assert variance_pairwise(f).terms_used == engine, point
+            (w,) = _certified_windows(*_points([f]), DEFAULT_TOL, 2, MAX_TERMS)
+            assert variance_pairwise(f).terms_used == w.terms, point
 
     @pytest.mark.parametrize("lam, caps, order", [
         (1e6, (2.0, 4.0), 1),
@@ -385,9 +386,10 @@ class TestTwoSidedWindow:
             assert w.trunc[k] >= outside(fpow * p), k + 1
 
     def test_cancelled_variance_rejected(self):
-        # lam = 100 * 2048^2 on the falsify schedule: the window fits the
-        # budget and the mean is certified, but E[f^2] - E[f]^2 is roundoff.
-        f = CappedFunctional(419430400.0, 2048.0, 2048.0)
+        # lam = 100 * 2048^2, as on the falsify schedule but with b = inf,
+        # which keeps it on its window: the window fits the budget and the
+        # mean is certified, but E[f^2] - E[f]^2 is roundoff.
+        f = CappedFunctional(419430400.0, 2048.0, math.inf)
         mean = moments(f, order=1).mean
         assert mean.tail_bound <= mean.value
         with pytest.raises(TruncationError, match="exceeds the variance"):
@@ -754,6 +756,20 @@ class TestPmfRoundoff:
         assert self.worst_share(points) <= 1.0
 
 
+def test_decomposed_moments_stay_small():
+    # lambda = 1e10's window would hold 2.8M terms (about 216 MiB at its
+    # peak); the decomposition, with the Chernoff bound for its correction,
+    # allocates no array of the window's size.
+    tracemalloc.start()
+    try:
+        (m,) = moments_many([CappedFunctional(1e10, 2.0, 4.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.variance.tail_bound <= 1e-14 * m.variance.value
+    assert peak < 4 * 2**20
+
+
 def test_pairwise_chunks_sized_by_bytes():
     # At lam = 1e4 the window is ~2400 terms; 1024-row chunks made each
     # temporary ~20 MB, byte-sized ones keep it at 1 MiB.
@@ -829,6 +845,7 @@ def test_pairwise_budget_on_the_width():
 
 
 def test_truncation_raised_for_huge_rate():
-    # the window for lam this large exceeds the term budget
+    # the window for lam this large exceeds the term budget (b = inf keeps
+    # the functional on its window)
     with pytest.raises(TruncationError):
-        expectation(CappedFunctional(1e15, 2.0, 2.0))
+        expectation(CappedFunctional(1e15, 2.0, math.inf))

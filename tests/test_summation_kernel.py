@@ -158,10 +158,22 @@ class TestExactSums:
         assert _hex(_sums(np.zeros(3), [0, 2])) == _hex([0.0] * 2)
 
 
+def _decomposed(f, order):
+    """Whether moments takes the decomposition for f at this order: both
+    caps finite (a > 0) or both infinite, order 1 or 2, lambda >= 2K."""
+    if order > 2 or not (f.cap_a > 0.0 and (f.cap_b < math.inf
+                                            or f.cap_a == f.cap_b)):
+        return False
+    return f.lam >= 2 * (4 if f.cap_a == math.inf else max(math.ceil(f.cap_b), 4))
+
+
 def _reference(f, tol, order):
     """(moments(f) or its error, the tails of f's window): the window of a
     one-functional call of the reference driver below, its terms built with
-    scalar rate and caps and re-summed with math.fsum."""
+    scalar rate and caps and re-summed with math.fsum. A decomposed f is
+    taken alone (moments_many of f), with no tails."""
+    if _decomposed(f, order):
+        return next(moments_many([f], tol, order)), ()
     (w,) = _certified_windows([f], tol, order, MAX_TERMS)
     if isinstance(w, TruncationError):
         return w, ()
@@ -182,14 +194,15 @@ def _reference(f, tol, order):
 
 
 # lam = 0 and a zero cap; an uncapped functional that widens at order 4; a
-# variance that fails its guard; a window past MAX_TERMS; then rates whose
-# first windows fill more than one batch.
+# variance that fails its guard; a window past MAX_TERMS (b = inf keeps both
+# on their windows); then rates whose first windows fill more than one
+# batch, which from lam = 32 on take the decomposition at orders 1 and 2.
 _MIXED = (
     CappedFunctional(0.0, 2.0, 4.0),
     CappedFunctional(3.0, 0.0, 4.0),
     CappedFunctional(1e4, math.inf, math.inf),
-    CappedFunctional(5e6, 2.0, 4.0),
-    CappedFunctional(1e13, 2.0, 4.0),
+    CappedFunctional(5e6, 2.0, math.inf),
+    CappedFunctional(1e13, 2.0, math.inf),
     *(CappedFunctional(lam, 2.0, 16.0)
       for lam in (0.3, 1.0, 10.0, 1e2, 1e3, 2e4, 4e4, 8e4, 1e5, 2e5, 3e5)),
 )
@@ -243,7 +256,7 @@ class TestMomentsMany:
         # bad's window is wider than a batch, so it takes a pass of its own,
         # and its variance fails the guard: the first result is known after
         # one pass, and the wide windows after it are not summed.
-        bad = CappedFunctional(419430400.0, 2048.0, 2048.0)
+        bad = CappedFunctional(419430400.0, 2048.0, math.inf)
         spy = mock.patch.object(poisson_core, "_window_pass",
                                 wraps=poisson_core._window_pass)
         with spy as passes:
@@ -253,7 +266,7 @@ class TestMomentsMany:
 
     def test_failure_stays_with_its_functional(self):
         good = CappedFunctional(10.0, 2.0, 4.0)
-        bad = CappedFunctional(5e6, 2.0, 4.0)
+        bad = CappedFunctional(5e6, 2.0, math.inf)
         first, mid, last = moments_many([bad, good, bad], DEFAULT_TOL, 2)
         assert isinstance(first, TruncationError)
         assert isinstance(last, TruncationError)

@@ -12,14 +12,21 @@ With --against REF, a git ref of this checkout's repository, REF's src
 directory is extracted with git archive into a temporary directory and
 every record is run on both trees. Each line then holds REF's exit code,
 DIR's exit code, "same" or "DIFFERS" (exit code or SHA-256), and the
-record's name; the exit status is 1 if any record differs.
+record's name; the exit status is 1 if any record differs. A DIFFERS line
+also gives the largest relative difference |new - old| / |old| over the
+numeric leaves of the JSON record, or cells of the CSV one, that both
+trees wrote at the same place, where it is, and how many places only one
+of them wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -51,28 +58,36 @@ RECORDS = {
     "certify lemma1 small grid csv": [*SMALL_GRID, *CSV],
     "certify lemma1 lambda 5e6": ["certify", "lemma1", "--lambda", "5e6",
                                   "--caps", "2,4"],
+    # One infinite cap keeps the window, whose variance fails its guard
+    # here: exit 70.
+    "certify lemma1 lambda 5e6 caps 2,inf": ["certify", "lemma1", "--lambda",
+                                             "5e6", "--caps", "2,inf"],
     # Vacuous (rate 0), errored (5e6) and normal rates in one batch per pair.
     "certify lemma1 mixed batch": ["certify", "lemma1", "--lambda",
                                    "0,0.3,1,1e4,5e6", "--caps", "2,4",
                                    "--caps", "1e6,1e6"],
-    # Every window widens at this tolerance, at lambda 1e4 on the left too.
+    # Every window widens at this tolerance, at lambda 1e4 on the left too;
+    # b = 1e6 keeps every rate below 2K, on its window, and (2, 4) takes
+    # the decomposition from lambda = 8 on, which no tolerance moves.
     "certify lemma1 tol 1e-300": ["certify", "lemma1", "--tol", "1e-300",
                                   "--lambda", "1,100,1e4", "--caps", "2,4",
-                                  "--caps", "64,64"],
-    # lambda - h is 2.30 and 3.93: the first windows start strictly
-    # between 0 and t, where every term is 0.
+                                  "--caps", "64,1e6"],
+    # lambda - h is 2.30 and 3.93: the first windows of (64, 1e6) start
+    # strictly between 0 and t, where every term is 0; (2, 4) is decomposed.
     "certify lemma1 window below t": ["certify", "lemma1", "--lambda",
                                       "232,235", "--caps", "2,4",
-                                      "--caps", "64,64"],
+                                      "--caps", "64,1e6"],
     # A finite correction factor of 1e304 overflows the ratio at 1e3: no
     # plateau, exit 2.
     "certify lemma1 plateau fails": ["certify", "lemma1", "--lambda", "1",
                                      "--caps", "1e152,1e152"],
     "falsify target 50": ["falsify", "--target", "50"],
     "falsify target 1e9": ["falsify", "--target", "1e9"],
-    # k = 64's point ratio is 64.0078, but its certified band is [62.04,
-    # 65.98] (ratio_lo 62.04): no certified witness, exit 2.
+    # k = 64's point ratio is 64, its true value, short of the target: the
+    # witness is k = 128, exit 0.
     "falsify target 64.005": ["falsify", "--target", "64.005"],
+    # The witness is k = 1024, at lambda = 104,857,600.
+    "falsify target 1000": ["falsify", "--target", "1000"],
     "simulate-d bench seed 1": [*SIMULATE_D, "--seed", "1"],
     "simulate-d bench seed 1 csv": [*SIMULATE_D, "--seed", "1", *CSV],
     "simulate-d bench seed 4242": [*SIMULATE_D, "--seed", "4242"],
@@ -116,6 +131,49 @@ def digest(src: Path, argv: list, out: Path) -> tuple:
     return code, sha
 
 
+def _cells(path: Path) -> dict:
+    """Place -> value of every leaf of a JSON record, or cell of a CSV one
+    ((row, column)); {} if the record was not written."""
+    if not path.exists():
+        return {}
+    text = path.read_text()
+    try:
+        doc, out = json.loads(text), {}
+    except ValueError:  # a CSV record
+        return {(i, j): v for i, row in enumerate(csv.reader(io.StringIO(text)))
+                for j, v in enumerate(row)}
+    stack = [((), doc)]
+    while stack:
+        place, node = stack.pop()
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            stack += [((*place, k), v) for k, v in items]
+        else:
+            out[place] = node
+    return out
+
+
+def largest_change(old: Path, new: Path) -> str:
+    """The largest relative difference between two records' numeric
+    places, where it is, and the places only one record has."""
+    a, b = _cells(old), _cells(new)
+    worst, where = 0.0, None
+    for place in sorted(a.keys() & b.keys(), key=str):  # ties: the first
+        try:
+            x, y = (float(v) for v in (a[place], b[place]))
+        except (TypeError, ValueError):  # text, null or a list's shape
+            continue
+        if isinstance(a[place], bool) or x == y or math.isnan(x) and math.isnan(y):
+            continue
+        rel = abs(y - x) / abs(x) if x and x == x and y == y else math.inf
+        if not rel <= worst:
+            worst, where = rel, place
+    only = len(a.keys() ^ b.keys())
+    return (f"max rel {worst:.3g}"
+            + (f" at {'/'.join(map(str, where))}" if where else "")
+            + (f", {only} places in one record only" if only else ""))
+
+
 def extract_src(ref: str, dest: Path) -> Path:
     """The src directory of git ref `ref`, extracted under dest."""
     run = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
@@ -150,8 +208,12 @@ def main() -> int:
             old = digest(ref, argv, tmp / f"{idx}.ref")
             same = old == (code, sha)
             differ += not same
+            change = "" if same else "  " + largest_change(
+                tmp / f"{idx}.ref", tmp / f"{idx}.out")
+            if old[0] != code:
+                change += f", exit {old[0]} -> {code}"
             print(f"{old[0]:>3} {code:>3}  {'same' if same else 'DIFFERS':7}  "
-                  f"{name}", flush=True)
+                  f"{name}{change}", flush=True)
     return 1 if differ else 0
 
 
