@@ -94,16 +94,11 @@ def _corrected_parts(lam, a, b, m, factor):
     return m.variance.value, den
 
 
-def _integer_caps(a, b):
-    """claim23's caps: integers >= 2."""
+def _envelope(lam, a, b):
+    """claim23's lower envelope, at integer caps >= 2 and above the floor."""
     for cap in (a, b):
         if not math.isfinite(cap) or cap != int(cap) or cap < 2:
             raise ValueError(f"caps must be integers >= 2, got {cap}")
-
-
-def _envelope(lam, a, b):
-    """claim23's lower envelope, at integer caps >= 2 and above the floor."""
-    _integer_caps(a, b)
     den = min(lam * math.sqrt(min(lam, a) * min(lam, b)), lam**4)
     if den < DENOMINATOR_FLOOR:  # mean / den below needs a nonzero envelope
         raise SkippedPoint(f"denominator {den} below floor at {(lam, a, b)}")
@@ -118,26 +113,26 @@ def _mean_lower_parts(lam, a, b, m, factor):
     return m.mean.value / den * den, den
 
 
-# Ratio kind -> (moment order, caps of its functional, vet, check, parts).
-# check(lam, a, b), if any, vets a point before its moments are read; vet(a,
-# b) is its part that depends on the pair alone, and a pair it rejects is
-# not summed. parts(lam, a, b, m, factor) -> (numerator, denominator) reads
-# m, the Moments at (lam, caps), and the pair's correction factor, taken
-# once per pair. None takes the grid's caps; claim21's unit caps make X 1(X >= 4).
+# Ratio kind -> (moment order, caps of its functional, check, parts).
+# check(lam, a, b), if any, vets a point before its moments are read (its
+# ValueError depends on the caps alone); parts(lam, a, b, m, factor) ->
+# (numerator, denominator) reads m, the Moments at (lam, caps), and the
+# pair's correction factor, taken once per pair. None takes the grid's
+# caps; claim21's unit caps make X 1(X >= 4).
 RATIO_KINDS = {
-    "corrected": (2, None, None, None, _corrected_parts),
-    "original": (2, None, None, None, _variance_and_mean),
-    "claim21": (2, (1.0, 1.0), None, None, _variance_and_mean),
-    "claim23": (1, None, _integer_caps, _envelope, _mean_lower_parts),
+    "corrected": (2, None, None, _corrected_parts),
+    "original": (2, None, None, _variance_and_mean),
+    "claim21": (2, (1.0, 1.0), None, _variance_and_mean),
+    "claim23": (1, None, _envelope, _mean_lower_parts),
 }
 
 
-def _valid(lam, a, b, vet):
+def _valid(lam, a, b, check):
     """CappedFunctional(lam, a, b), or the ValueError that rejects it or
-    that vet(a, b), if any, raises."""
+    that check, if any, raises for the pair (a, b) at rate 1."""
     try:
-        if vet is not None:
-            vet(a, b)
+        if check is not None:
+            check(1.0, a, b)
         return CappedFunctional(lam, a, b)
     except ValueError as exc:
         return exc
@@ -148,13 +143,12 @@ def _ratios(which, lams, pairs, tol):
     pairs, rate by rate: the kind's (ratio, numerator, denominator) there,
     or the SkippedPoint, ArithmeticError or ValueError that evaluating it
     raised, the check's first. The moments come from one lazy
-    _batched_moments stream over the valid rates and the valid pairs that
-    the kind's vet passes, so a consumer that stops early sums no more. A
-    tolerance that is not positive raises ValueError at the call, as
-    moments_many does."""
-    order, caps, vet, check, parts = RATIO_KINDS[which]
+    _batched_moments stream over the valid rates and the valid pairs the
+    check passes, so a consumer that stops early sums no more. A tolerance
+    not positive raises ValueError at the call, as moments_many does."""
+    order, caps, check, parts = RATIO_KINDS[which]
     rates = [_valid(lam, 0.0, 0.0, None) for lam in lams]
-    funcs = [_valid(0.0, *(caps or (float(a), float(b))), vet) for a, b in pairs]
+    funcs = [_valid(0.0, *(caps or (float(a), float(b))), check) for a, b in pairs]
     ms = poisson_core._batched_moments(
         [f.lam for f in rates if not isinstance(f, ValueError)],
         *(c.T for c in poisson_core._points(  # a column of the valid pairs

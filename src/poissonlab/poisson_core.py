@@ -402,9 +402,9 @@ def _certified_windows(lams, caps_a, caps_b, tol, max_power, max_terms):
     cells_a, cells_b = (np.broadcast_to(c, (rows, n)).T.ravel()
                         for c in (caps_a, caps_b))
     zero = _Window(0, -1, (0.0,) * max_power, (0.0,) * max_power, 0.0)
-    live = (np.broadcast_to(caps_a, (rows, n)) > 0.0).any(axis=0).tolist()
-    firsts = [_first_window(lam, max_terms) if lam and any_cap else zero
-              for lam, any_cap in zip(lams, live)]  # no window if all caps 0
+    live = np.broadcast_to(caps_a, (rows, n)).any(axis=0).tolist()  # a cap > 0
+    firsts = [_first_window(lam, max_terms) if lam and on else zero
+              for lam, on in zip(lams, live)]
     entries = [firsts[k // rows] if a else zero
                for k, a in enumerate(cells_a.tolist())]
 
@@ -470,6 +470,31 @@ class _Correction(NamedTuple):
     bounds: tuple
 
 
+def _correction_sums(points) -> list:
+    """The exact sums of g p, P g p, g^2 p and p over x < K of each point
+    of _corrections, from one pmf per run of points of one rate; an f < 0
+    raises ArithmeticError, as a term < 0 does in _exact_sums. Not a
+    generator: its arrays are freed before the corrections are yielded."""
+    lams, a, b, sizes = (np.array([q[j] for q in points]) for j in range(4))
+    new = np.diff(lams, prepend=-1.0) != 0.0  # the first point of a rate
+    width = np.maximum.reduceat(sizes, np.flatnonzero(new))
+    at, starts = np.cumsum(width) - width, np.cumsum(sizes) - sizes
+    x = np.arange(width.sum(), dtype=np.float64) - np.repeat(at, width)
+    p = _pmf(x, np.repeat([math.log(v) for v in lams[new].tolist()], width),
+             np.repeat(lams[new], width))
+    x = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    p = p[x + np.repeat(at[np.cumsum(new) - 1], sizes)]
+    x, a, b = x.astype(np.float64), np.repeat(a, sizes), np.repeat(b, sizes)
+    if np.signbit(f := _capped(x, a, b)).any():
+        raise ArithmeticError("exact sums take finite values >= 0")
+    poly = np.where(a == math.inf, x, np.sqrt(a * b)) * x
+    g = poly - f
+    terms = np.stack((g, poly * g, g * g, np.ones_like(g)))
+    terms *= p
+    return list(zip(*_exact_sums(terms, starts,
+                                 np.maximum.reduceat(terms, starts, axis=1))))
+
+
 def _corrections(points) -> Iterator:
     """Yields the _Correction of each point (lambda, a, b, K, _fp_rel(lambda))
     of f = P - g: P(x) = sqrt(ab) x, or x^2 for infinite caps, and g = P - f
@@ -482,57 +507,30 @@ def _corrections(points) -> Iterator:
     (_fp_rel + 4u) times each, for the pmf and the products, plus P(K - 1)^j
     times 18u sum p, for g (within 8u P), and K 2^-1073, for underflowed p
     (u = 2^-53)."""
-    batch, used = [], 0
-    for point in points:
-        lam, _, _, k, _ = point
+    batches, used = [[]], 0
+    for lam, a, b, k, fp in points:
         log_c = k * (1.0 + math.log(lam) - math.log(k)) - lam
-        live = log_c > math.log(k * 2.0**-1074)
-        if used + 4 * k * live > _BATCH_ELEMENTS:
-            yield from _correction_pass(batch)
-            batch, used = [], 0
-        batch.append((point, log_c, live))
-        used += 4 * k * live
-    yield from _correction_pass(batch)
-
-
-def _correction_sums(points) -> list:
-    """The exact sums of g p, P g p, g^2 p and p over x < K of each point
-    of _corrections, from one pmf per run of points of one rate. Not a
-    generator: its arrays are freed before the corrections are yielded."""
-    lams, a, b, sizes = (np.array([q[j] for q in points]) for j in range(4))
-    new = np.diff(lams, prepend=-1.0) != 0.0  # the first point of a rate
-    width = np.maximum.reduceat(sizes, np.flatnonzero(new))
-    at, starts = np.cumsum(width) - width, np.cumsum(sizes) - sizes
-    x = np.arange(width.sum(), dtype=np.float64) - np.repeat(at, width)
-    p = _pmf(x, np.repeat([math.log(v) for v in lams[new].tolist()], width),
-             np.repeat(lams[new], width))
-    x = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    p = p[x + np.repeat(at[np.cumsum(new) - 1], sizes)]
-    x, a, b = x.astype(np.float64), np.repeat(a, sizes), np.repeat(b, sizes)
-    poly = np.where(a == math.inf, x, np.sqrt(a * b)) * x
-    g = poly - _capped(x, a, b)
-    terms = np.stack((g, poly * g, g * g, np.ones_like(g)))
-    terms *= p
-    return list(zip(*_exact_sums(terms, starts,
-                                 np.maximum.reduceat(terms, starts, axis=1))))
-
-
-def _correction_pass(batch) -> Iterator:
-    """_corrections of the (point, log Chernoff bound, live) of batch."""
-    points = [q for q, _, live in batch if live]
-    sums = iter(_correction_sums(points) if points else ())
-    for (lam, a, b, k, fp), log_c, live in batch:
-        top = (k - 1.0) * (k - 1.0 if a == math.inf else math.sqrt(a * b))
-        if live:  # g's rounding and underflowed p
-            *got, mass = next(sums)
-            err = 9.0 * _EPS * mass + k * 2.0**-1073
-        else:  # the Chernoff bound on P(X < K)
-            got = (0.0,) * 3
-            slack = 2.0**-48 * (lam + k * (2.0 + math.log(lam) + math.log(k)))
-            err = math.nextafter(math.exp(log_c + slack), math.inf)
-        yield _Correction(k if live else 0, tuple(got), tuple(
-            (fp + 2.0 * _EPS) * v + w * err
-            for v, w in zip(got, (top, top * top, top * top))))
+        size = 4 * k if log_c > math.log(k * 2.0**-1074) else 0
+        if used + size > _BATCH_ELEMENTS:
+            batches.append([])
+            used = 0
+        batches[-1].append((lam, a, b, k, fp, log_c, size))
+        used += size
+    for batch in batches:
+        live = [q for q in batch if q[-1]]
+        sums = iter(live and _correction_sums(live))
+        for lam, a, b, k, fp, log_c, size in batch:
+            top = (k - 1.0) * (k - 1.0 if a == math.inf else math.sqrt(a * b))
+            if size:  # g's rounding and underflowed p
+                *got, mass = next(sums)
+                err = 9.0 * _EPS * mass + k * 2.0**-1073
+            else:  # the Chernoff bound on P(X < K)
+                got = (0.0,) * 3
+                slack = 2.0**-48 * (lam + k * (2.0 + math.log(lam) + math.log(k)))
+                err = math.nextafter(math.exp(log_c + slack), math.inf)
+            yield _Correction(k if size else 0, tuple(got), tuple(
+                (fp + 2.0 * _EPS) * v + w * err
+                for v, w in zip(got, (top, top * top, top * top))))
 
 
 def _batched_moments(lams, caps_a, caps_b, tol, order) -> Iterator:

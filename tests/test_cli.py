@@ -311,7 +311,7 @@ class TestNoVacuousCertificate:
         monkeypatch.setattr(poisson_core, "_capped",
                             lambda x, a, b: -capped(x, a, b))
         code = main(["simulate-d", "--n", "5", "--reps", "100",
-                     "--l1", "2", "--l2", "2", "--m", "10"])
+                     "--l1", "2", "--l2", "2"])
         assert code == EX_NUMERIC
         assert "exact sums take finite values >= 0" in capsys.readouterr().err
 

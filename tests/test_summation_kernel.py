@@ -158,22 +158,10 @@ class TestExactSums:
         assert _hex(_sums(np.zeros(3), [0, 2])) == _hex([0.0] * 2)
 
 
-def _decomposed(f, order):
-    """Whether moments takes the decomposition for f at this order: both
-    caps finite (a > 0) or both infinite, order 1 or 2, lambda >= 2K."""
-    if order > 2 or not (f.cap_a > 0.0 and (f.cap_b < math.inf
-                                            or f.cap_a == f.cap_b)):
-        return False
-    return f.lam >= 2 * (4 if f.cap_a == math.inf else max(math.ceil(f.cap_b), 4))
-
-
 def _reference(f, tol, order):
     """(moments(f) or its error, the tails of f's window): the window of a
     one-functional call of the reference driver below, its terms built with
-    scalar rate and caps and re-summed with math.fsum. A decomposed f is
-    taken alone (moments_many of f), with no tails."""
-    if _decomposed(f, order):
-        return next(moments_many([f], tol, order)), ()
+    scalar rate and caps and re-summed with math.fsum."""
     (w,) = _certified_windows([f], tol, order, MAX_TERMS)
     if isinstance(w, TruncationError):
         return w, ()
@@ -193,17 +181,19 @@ def _reference(f, tol, order):
         return exc, w.trunc
 
 
-# lam = 0 and a zero cap; an uncapped functional that widens at order 4; a
-# variance that fails its guard; a window past MAX_TERMS (b = inf keeps both
-# on their windows); then rates whose first windows fill more than one
-# batch, which from lam = 32 on take the decomposition at orders 1 and 2.
+# lam = 0 and a zero cap; an effectively uncapped functional (a = 1e9 lies
+# above every x summed) that widens at order 4; a variance that fails its
+# guard; a window past MAX_TERMS; then rates whose first windows fill more
+# than one batch. Each has one infinite cap or K = 16e6 > lam / 2, so
+# every one keeps its window at every order (the decomposition is checked
+# in test_decomposed_bits_do_not_depend_on_the_batch).
 _MIXED = (
     CappedFunctional(0.0, 2.0, 4.0),
     CappedFunctional(3.0, 0.0, 4.0),
-    CappedFunctional(1e4, math.inf, math.inf),
+    CappedFunctional(1e4, 1e9, math.inf),
     CappedFunctional(5e6, 2.0, math.inf),
     CappedFunctional(1e13, 2.0, math.inf),
-    *(CappedFunctional(lam, 2.0, 16.0)
+    *(CappedFunctional(lam, 2.0, 16e6)
       for lam in (0.3, 1.0, 10.0, 1e2, 1e3, 2e4, 4e4, 8e4, 1e5, 2e5, 3e5)),
 )
 
@@ -241,6 +231,25 @@ class TestMomentsMany:
                 if a is not None:
                     assert (a.value, a.tail_bound, a.terms_used) == (
                         b.value, b.tail_bound, b.terms_used), (f, name)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_decomposed_bits_do_not_depend_on_the_batch(self, order):
+        # Decomposed functionals (K terms summed, or none past the Chernoff
+        # cut) beside windows, several pairs to a rate. Passes of 64
+        # elements split lam = 1e2's corrections between two passes, after
+        # a pass that holds lam = 8's. Every entry has the bits of its
+        # functional taken alone.
+        fs = [CappedFunctional(lam, *ab) for lam in (8.0, 1e2, 3e3, 1e6)
+              for ab in ((2.0, 16.0), (4.0, 4.0), (math.inf, math.inf),
+                         (2.0, math.inf))]
+        with mock.patch.object(poisson_core, "_BATCH_ELEMENTS", 64):
+            got = list(moments_many(fs, DEFAULT_TOL, order))
+        alone = [next(moments_many([f], DEFAULT_TOL, order)) for f in fs]
+        assert got == alone
+        terms = [m.mean.terms_used for m in got]
+        assert terms[:4] == [terms[0], 4, 4, terms[3]] and terms[0] > 16
+        assert terms[4:8] == [16, 4, 4, terms[7]] and terms[7] > 16
+        assert terms[8:12] == [0, 0, 0, terms[11]] and terms[11] > 16
 
     def test_mixed_batch_covers_its_cases(self):
         first = [_first_window(f, 10**13) for f in _MIXED[5:]]
